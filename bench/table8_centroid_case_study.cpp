@@ -67,11 +67,14 @@ void run_row(const RowSpec& spec, Table& out) {
   const SimResult o_res = run_trace_static(opt.tree, trace);
 
   const double c_avg = c_res.avg_request_cost();
+  const auto ratio = [c_avg](const SimResult& r) {
+    return std::string("x").append(fixed_cell(r.avg_request_cost() / c_avg));
+  };
   std::vector<std::string> row = {workload_name(spec.kind)};
   row.push_back(fixed_cell(c_avg));
-  row.push_back("x" + fixed_cell(s_res.avg_request_cost() / c_avg));
-  row.push_back("x" + fixed_cell(f_res.avg_request_cost() / c_avg));
-  row.push_back("x" + fixed_cell(o_res.avg_request_cost() / c_avg));
+  row.push_back(ratio(s_res));
+  row.push_back(ratio(f_res));
+  row.push_back(ratio(o_res));
   row.push_back("n=" + std::to_string(n));
   out.add_row(row);
 

@@ -11,7 +11,8 @@
 // same script at its dispatch counter and recovers at a quiesce barrier;
 // its recovered state is dispatch-order-consistent rather than bit-exact
 // (real-time interleaving is not replayable — see the frontend's file
-// comment).
+// comment). Both drivers fire and recover through one RecoveryLog
+// (sim/fleet.hpp).
 //
 // Three event kinds, mirroring what actually fails in a tablet server:
 //   * kShardKill     — the shard loses its in-memory tree; recovery is
@@ -49,8 +50,9 @@ enum class FaultKind : std::uint8_t {
 
 const char* fault_kind_name(FaultKind kind);
 
-/// One scripted fault: fires when `at_request` requests have been
-/// served/dispatched (i.e. between request at_request-1 and at_request).
+/// One scripted fault: fires once `at_request` requests have been
+/// served/dispatched (i.e. between request at_request-1 and at_request;
+/// an event at m fires at the end of an m-request run).
 struct FaultEvent {
   std::size_t at_request = 0;
   int shard = -1;
@@ -61,8 +63,8 @@ struct FaultEvent {
 
 struct FaultPlan {
   /// Fault script; must be non-decreasing in at_request (validated by the
-  /// engines before the run starts). Events scheduled past the end of the
-  /// trace simply never fire.
+  /// engines before the run starts). An event at the trace length m fires
+  /// after the last request; events at m + 1 or later never fire.
   std::vector<FaultEvent> kills;
   /// Recovery-time objective in milliseconds, carried through to reports
   /// (bench/lifecycle_scaling, san_cli); 0 = no SLO configured. The

@@ -11,7 +11,7 @@
 #include <utility>
 #include <vector>
 
-#include "workload/rebalance.hpp"
+#include "sim/fleet.hpp"
 
 namespace san {
 namespace {
@@ -171,13 +171,10 @@ struct WorkerState {
   Cost routing = 0;
   Cost rotations = 0;
   Cost edges = 0;
-  /// Measured cross/intra split feeding the rebalancer's cost model
-  /// (ascents + top legs vs local serves), same convention as the batch
-  /// pipeline's ChunkSplit.
-  Cost ascent_cost = 0;
-  Cost intra_cost = 0;
-  std::size_t intra_requests = 0;
-  std::size_t cross_requests = 0;  ///< completed second legs
+  /// Measured cross/intra split feeding the fleet controller's cost
+  /// model (ascents + top legs vs local serves; cross_requests counts
+  /// completed second legs), same convention as the batch pipeline.
+  CostSplit split;
   Cost replica_reads = 0;          ///< intra serves answered by the replica
   std::size_t handovers = 0;
   std::size_t forwards = 0;
@@ -238,14 +235,7 @@ FrontendResult ServeFrontend::run(const Trace& trace,
   TraceStream stream(trace);
   FixedArrivalSchedule schedule(arrivals);
   FrontendResult res = run_stream(stream, schedule);
-  // With an unchanged map the dispatch-time counters already are the final
-  // intra fraction; a migrated (or split/merged — shard ids rewritten
-  // wholesale) map needs the full-trace re-scan, which the single-pass
-  // engine cannot perform.
-  if (res.sim.migrations != 0 || res.sim.shard_splits != 0 ||
-      res.sim.shard_merges != 0)
-    res.sim.post_intra_fraction =
-        compute_shard_stats(trace, net_.map()).intra_fraction();
+  rescan_post_intra_fraction(trace, net_.map(), res.sim);
   return res;
 }
 
@@ -288,12 +278,6 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
   std::vector<std::atomic<int>> breaker_state(n_slots);
   std::vector<std::atomic<int>> breaker_failures(n_slots);
   std::atomic<std::size_t> completed{0};
-  for (int s = 0; s < S0; ++s) {
-    inboxes[static_cast<std::size_t>(s)] =
-        std::make_unique<ShardInbox>(opt_.queue_capacity, mail_cap);
-    route[static_cast<std::size_t>(s)] = s;
-    owned[static_cast<std::size_t>(s)] = s;
-  }
 
   const Clock::time_point start = Clock::now();
   auto now_ns = [&start] {
@@ -403,9 +387,10 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
         ws.routing += sr.routing_cost + item.pending_top;
         ws.rotations += sr.rotations;
         ws.edges += sr.edge_changes;
-        ws.ascent_cost += sr.routing_cost +
-                          static_cast<Cost>(sr.rotations) + item.pending_top;
-        ++ws.cross_requests;
+        ws.split.cross_cost += sr.routing_cost +
+                               static_cast<Cost>(sr.rotations) +
+                               item.pending_top;
+        ++ws.split.cross_requests;
         ws.sojourn.record(now_ns() - item.arrival_ns);
         completed.fetch_add(1, std::memory_order_release);
         return;
@@ -443,8 +428,9 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
         ws.routing += sr.routing_cost;
         ws.rotations += sr.rotations;
         ws.edges += sr.edge_changes;
-        ws.intra_cost += sr.routing_cost + static_cast<Cost>(sr.rotations);
-        ++ws.intra_requests;
+        ws.split.intra_cost +=
+            sr.routing_cost + static_cast<Cost>(sr.rotations);
+        ++ws.split.intra_requests;
         ws.sojourn.record(now_ns() - item.arrival_ns);
         completed.fetch_add(1, std::memory_order_release);
       } else {
@@ -456,7 +442,8 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
         ws.routing += sr.routing_cost;
         ws.rotations += sr.rotations;
         ws.edges += sr.edge_changes;
-        ws.ascent_cost += sr.routing_cost + static_cast<Cost>(sr.rotations);
+        ws.split.cross_cost +=
+            sr.routing_cost + static_cast<Cost>(sr.rotations);
         ++ws.handovers;
         QueueItem leg;
         leg.src = item.dst;
@@ -508,7 +495,15 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
     }
   };
 
-  auto spawn_worker = [&](int w, int shard_id) {
+  // Every shard gets a worker of its own on the first free slot: at run
+  // start, and for the new shard of a split. A free slot always exists:
+  // the slots cover max(S0, max_shards) and the planner never splits a
+  // fleet at max_shards.
+  auto spawn_worker = [&](int shard_id) {
+    int w = 0;
+    while (owned[static_cast<std::size_t>(w)] != -1 ||
+           threads[static_cast<std::size_t>(w)].joinable())
+      ++w;
     auto& slot = inboxes[static_cast<std::size_t>(w)];
     if (slot == nullptr)
       slot = std::make_unique<ShardInbox>(opt_.queue_capacity, mail_cap);
@@ -518,282 +513,105 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
     route[static_cast<std::size_t>(shard_id)] = w;
     threads[static_cast<std::size_t>(w)] = std::thread(worker_loop, w);
   };
-  auto retire_worker = [&](int w) {
+  // A merge retires the vacated shard's worker, then renumbers: every
+  // shard id above it shifted down by one.
+  auto retire_shard = [&](int shard_id) {
+    const int w = route[static_cast<std::size_t>(shard_id)];
     inboxes[static_cast<std::size_t>(w)]->close();
     threads[static_cast<std::size_t>(w)].join();
     owned[static_cast<std::size_t>(w)] = -1;
-  };
-  auto free_slot = [&]() -> int {
-    for (int w = 0; w < max_workers; ++w)
-      if (owned[static_cast<std::size_t>(w)] == -1 &&
-          !threads[static_cast<std::size_t>(w)].joinable())
-        return w;
-    return -1;
-  };
-  auto publish_epoch = [&] {
-    route_epoch.fetch_add(1, std::memory_order_release);
-    ++res.route_epochs;
+    for (int v = 0; v < max_workers; ++v) {
+      int& o = owned[static_cast<std::size_t>(v)];
+      if (o > shard_id) --o;
+      if (o >= 0) route[static_cast<std::size_t>(o)] = v;
+    }
   };
 
-  for (int s = 0; s < S0; ++s)
-    threads[static_cast<std::size_t>(s)] = std::thread(worker_loop, s);
+  for (int s = 0; s < S0; ++s) spawn_worker(s);
 
   // ---- open-loop dispatcher (caller thread) ---------------------------
-  const bool adaptive =
-      opt_.rebalance != nullptr &&
-      ((opt_.rebalance->enabled() && S0 > 1) || lifecycle);
-  RebalanceState state(adaptive ? *opt_.rebalance : RebalanceConfig{});
-  const std::size_t epoch =
-      adaptive ? opt_.rebalance->epoch_requests : total + 1;
-  const RebalanceCostHints base_hints = net_.cost_hints();
-  const double decay = adaptive ? opt_.rebalance->window_decay : 1.0;
-  // Exponentially aged measured costs (same scheme as run_trace_sharded):
-  // deltas of the workers' cumulative counters between barriers.
-  double cross_cost_w = 0.0, intra_cost_w = 0.0;
-  double cross_reqs_w = 0.0, intra_reqs_w = 0.0;
-  Cost prev_ascent = 0, prev_intra_cost = 0;
-  std::size_t prev_cross = 0, prev_intra = 0;
-
-  auto quiesce = [&](std::size_t dispatched) {
-    while (completed.load(std::memory_order_acquire) < dispatched)
-      std::this_thread::yield();
-  };
+  FleetController fleet(opt_.rebalance, net_);
+  CostSplit measured;  // the workers' summed split at the last barrier
 
   // Queue-pressure windows: (worker slot, original capacity) pairs,
   // restored at the next quiesce barrier.
   std::vector<std::pair<int, std::size_t>> pressured;
-  auto restore_pressure = [&] {
+  // The quiesce barrier: every dispatched request (handovers included) has
+  // completed or been shed, so the fleet is at rest; pressure windows end.
+  auto quiesce = [&](std::size_t dispatched) {
+    while (completed.load(std::memory_order_acquire) < dispatched)
+      std::this_thread::yield();
     for (const auto& [w, cap] : pressured)
       inboxes[static_cast<std::size_t>(w)]->set_capacity(cap);
     pressured.clear();
   };
-  // Barriers reset the breakers: the fleet just proved it can drain, so
-  // congestion-tripped breakers half-open wholesale (and merge renumbering
-  // would stale per-shard state anyway).
-  auto reset_breakers = [&] {
-    if (!degrade) return;
-    for (int i = 0; i < max_workers; ++i) {
-      breaker_state[static_cast<std::size_t>(i)].store(
-          kBreakerClosed, std::memory_order_release);
-      breaker_failures[static_cast<std::size_t>(i)].store(
-          0, std::memory_order_relaxed);
-    }
+  auto set_breaker = [&](int shard, int state) {
+    breaker_state[static_cast<std::size_t>(shard)].store(
+        state, std::memory_order_release);
+    breaker_failures[static_cast<std::size_t>(shard)].store(
+        0, std::memory_order_relaxed);
   };
 
   // ---- scripted fault injection (sim/fault.hpp) -----------------------
-  // While events are pending the dispatcher keeps a fleet snapshot plus
-  // the tail of requests admitted since it; resume points are run start,
-  // post-recovery and post-epoch-barrier instants, so the tail never spans
-  // a map change. A shard kill quiesces the (drained, handovers included)
-  // pipeline, then recovers: replica promotion when the shard is
-  // replicated, else snapshot restore + dispatch-order tail replay.
-  std::vector<FaultEvent> events;
-  if (opt_.faults != nullptr && opt_.faults->enabled())
-    events = opt_.faults->kills;
-  std::size_t next_event = 0;
-  std::vector<std::string> snaps;   // [shard] tree_io snapshot text
+  // While events are pending the dispatcher keeps the tail of requests
+  // admitted since the RecoveryLog's snapshots; resume points are run
+  // start, post-recovery and post-epoch-barrier instants, so the tail
+  // never spans a map change. A shard kill quiesces the pipeline, then
+  // recovers through the log with a FIFO replay of the tail in dispatch
+  // order: at S = 1 under FIFO admission that is bit-identical to the lost
+  // state; at S > 1 it is dispatch-order-consistent (the racy mailbox
+  // interleaving that produced the lost state was never recorded).
+  RecoveryLog log(opt_.faults);
   std::vector<Request> fault_tail;  // admitted since the snapshots
-  auto snapshot_all = [&] {
-    if (next_event >= events.size()) return;
-    const int live = net_.num_shards();
-    snaps.resize(static_cast<std::size_t>(live));
-    for (int s = 0; s < live; ++s)
-      snaps[static_cast<std::size_t>(s)] = net_.snapshot_shard(s);
+  auto resume_point = [&] {
+    log.snapshot(net_);
     fault_tail.clear();
   };
-  auto fire_event = [&](const FaultEvent& ev, std::size_t disp) {
-    const int live = net_.num_shards();
-    if (ev.shard < 0 || ev.shard >= live)
-      throw TreeError("FaultPlan: " + std::string(fault_kind_name(ev.kind)) +
-                      " shard " + std::to_string(ev.shard) +
-                      " out of range (live S=" + std::to_string(live) + ")");
-    ++next_event;  // before snapshot_all so the final event skips it
-    switch (ev.kind) {
-      case FaultKind::kShardKill: {
-        // Open the recovery breaker first so in-flight cross legs shed
-        // instead of serving into the doomed shard (degradation modes;
-        // kBlock stays lossless and drains them).
-        if (degrade)
-          breaker_state[static_cast<std::size_t>(ev.shard)].store(
-              kBreakerRecovery, std::memory_order_release);
-        quiesce(disp);
-        restore_pressure();
-        const Clock::time_point t0 = Clock::now();
-        ++res.sim.faults_injected;
-        if (net_.has_replica(ev.shard)) {
-          net_.promote_replica(ev.shard);  // lockstep copy == lost state
-          ++res.sim.replica_promotions;
-        } else {
-          net_.restore_shard(ev.shard,
-                             snaps[static_cast<std::size_t>(ev.shard)]);
-          // Replay the killed shard's projection of the tail in dispatch
-          // order. At S = 1 under FIFO admission this is bit-identical to
-          // the lost state; at S > 1 it is dispatch-order-consistent (the
-          // racy mailbox interleaving that produced the lost state was
-          // never recorded). Costs land in the recovery counters, not the
-          // serve counters.
-          PartitionedTrace pt = partition_trace(fault_tail, net_.map());
-          std::vector<ShardOp>& ops =
-              pt.ops[static_cast<std::size_t>(ev.shard)];
-          KArySplayNet& sh = net_.shard(ev.shard);
-          for (const ShardOp& op : ops) {
-            const ServeResult sr =
-                op.is_ascent() ? sh.access(op.src) : sh.serve(op.src, op.dst);
-            res.sim.recovery_cost +=
-                sr.routing_cost + static_cast<Cost>(sr.rotations);
-          }
-          res.sim.recovery_replayed += static_cast<Cost>(ops.size());
+  auto fire_due = [&](std::size_t offered, std::size_t disp) {
+    while (log.next_due(offered) != nullptr) {
+      const FaultEvent ev = log.take(net_);
+      const int w = route[static_cast<std::size_t>(ev.shard)];
+      switch (ev.kind) {
+        case FaultKind::kShardKill:
+          // Open the recovery breaker first so in-flight cross legs shed
+          // instead of serving into the doomed shard (degradation modes;
+          // kBlock stays lossless and drains them).
+          if (degrade) set_breaker(ev.shard, kBreakerRecovery);
+          quiesce(disp);
+          log.recover(net_, ev.shard, fault_tail, ScheduleConfig{}, res.sim);
+          if (degrade) set_breaker(ev.shard, kBreakerClosed);
+          resume_point();
+          break;
+        case FaultKind::kWorkerKill: {
+          // The thread dies, the shard's data survives: retire the worker
+          // at the quiesce barrier and respawn a fresh one on the same
+          // slot (same inbox, same accumulated counters).
+          quiesce(disp);
+          const Clock::time_point t0 = Clock::now();
+          ++res.sim.worker_kills;
+          inboxes[static_cast<std::size_t>(w)]->close();
+          threads[static_cast<std::size_t>(w)].join();
+          inboxes[static_cast<std::size_t>(w)]->reopen();
+          threads[static_cast<std::size_t>(w)] = std::thread(worker_loop, w);
+          book_recovery_time(res.sim, t0);
+          resume_point();
+          break;
         }
-        if (degrade) {
-          breaker_state[static_cast<std::size_t>(ev.shard)].store(
-              kBreakerClosed, std::memory_order_release);
-          breaker_failures[static_cast<std::size_t>(ev.shard)].store(
-              0, std::memory_order_relaxed);
-        }
-        const double ms =
-            std::chrono::duration<double, std::milli>(Clock::now() - t0)
-                .count();
-        res.sim.recovery_total_ms += ms;
-        res.sim.recovery_max_ms = std::max(res.sim.recovery_max_ms, ms);
-        snapshot_all();
-        break;
-      }
-      case FaultKind::kWorkerKill: {
-        // The thread dies, the shard's data survives: retire the worker
-        // at the quiesce barrier and respawn a fresh one on the same
-        // slot (same inbox, same accumulated counters).
-        quiesce(disp);
-        restore_pressure();
-        const Clock::time_point t0 = Clock::now();
-        ++res.sim.worker_kills;
-        const int w = route[static_cast<std::size_t>(ev.shard)];
-        inboxes[static_cast<std::size_t>(w)]->close();
-        threads[static_cast<std::size_t>(w)].join();
-        inboxes[static_cast<std::size_t>(w)]->reopen();
-        threads[static_cast<std::size_t>(w)] = std::thread(worker_loop, w);
-        const double ms =
-            std::chrono::duration<double, std::milli>(Clock::now() - t0)
-                .count();
-        res.sim.recovery_total_ms += ms;
-        res.sim.recovery_max_ms = std::max(res.sim.recovery_max_ms, ms);
-        snapshot_all();
-        break;
-      }
-      case FaultKind::kQueuePressure: {
-        // No barrier: the shard's inbox bound collapses mid-flight and
-        // the admission policy has to cope until the next barrier
-        // restores it. The crash tail keeps accumulating (no tree or map
-        // change to re-anchor against).
-        const int w = route[static_cast<std::size_t>(ev.shard)];
-        pressured.emplace_back(
-            w, inboxes[static_cast<std::size_t>(w)]->capacity());
-        inboxes[static_cast<std::size_t>(w)]->set_capacity(
-            std::max<std::size_t>(1, opt_.queue_capacity / 8));
-        ++res.sim.queue_pressure_events;
-        break;
+        case FaultKind::kQueuePressure:
+          // No barrier: the shard's inbox bound collapses mid-flight and
+          // the admission policy has to cope until the next barrier
+          // restores it. The crash tail keeps accumulating (no tree or map
+          // change to re-anchor against).
+          pressured.emplace_back(
+              w, inboxes[static_cast<std::size_t>(w)]->capacity());
+          inboxes[static_cast<std::size_t>(w)]->set_capacity(
+              std::max<std::size_t>(1, opt_.queue_capacity / 8));
+          ++res.sim.queue_pressure_events;
+          break;
       }
     }
   };
-  snapshot_all();
-
-  // Lifecycle at the barrier, mirroring the batch pipeline: plan ids
-  // refer to the pre-lifecycle map, so replicas are reconciled first; the
-  // split/merge (which renumbers shards and drops their replicas) applies
-  // last, then the worker fleet is reshaped to match. Returns true when
-  // the fleet or map changed shape.
-  auto apply_lifecycle = [&](const RebalancePlan& plan) -> bool {
-    bool changed = false;
-    if (opt_.rebalance->replicas > 0) {
-      for (int s = 0; s < net_.num_shards(); ++s) {
-        const bool want = std::binary_search(plan.replicate.begin(),
-                                             plan.replicate.end(), s);
-        if (want && !net_.has_replica(s))
-          net_.add_replica(s);
-        else if (!want && net_.has_replica(s))
-          net_.drop_replica(s);
-      }
-    }
-    // Migrations applied above may have reshaped the very shard the plan
-    // targets, so the split precondition is re-checked against the live
-    // map. The slot check cannot fail while the planner respects
-    // max_shards, but a fleet that somehow ran out of slots skips the
-    // split rather than corrupting the route table.
-    if (plan.split_shard >= 0 &&
-        net_.map().shard_size(plan.split_shard) >= 2 && free_slot() >= 0) {
-      const LifecycleResult lr = net_.split_shard(plan.split_shard);
-      ++res.sim.shard_splits;
-      res.sim.lifecycle_cost += lr.total_cost();
-      // The new shard takes the next id; give it a worker of its own.
-      spawn_worker(free_slot(), net_.num_shards() - 1);
-      changed = true;
-    } else if (plan.merge_from >= 0) {
-      const LifecycleResult lr =
-          net_.merge_shards(plan.merge_into, plan.merge_from);
-      ++res.sim.shard_merges;
-      res.sim.lifecycle_cost += lr.total_cost();
-      // Retire the vacated worker, then renumber: every shard id above
-      // merge_from shifted down by one.
-      retire_worker(route[static_cast<std::size_t>(plan.merge_from)]);
-      for (int w = 0; w < max_workers; ++w) {
-        int& o = owned[static_cast<std::size_t>(w)];
-        if (o > plan.merge_from) --o;
-      }
-      for (int w = 0; w < max_workers; ++w)
-        if (owned[static_cast<std::size_t>(w)] >= 0)
-          route[static_cast<std::size_t>(
-              owned[static_cast<std::size_t>(w)])] = w;
-      changed = true;
-    }
-    return changed;
-  };
-
-  // The epoch barrier: drain the pipeline, measure, plan, apply —
-  // migrations and, when configured, the full shard lifecycle. The
-  // dispatcher keeps the arrival clock running, so this pause is charged
-  // to every request that arrives during it.
-  auto epoch_barrier = [&](std::size_t dispatched) {
-    quiesce(dispatched);
-    restore_pressure();
-    reset_breakers();
-    Cost ascent = 0, intra_c = 0;
-    std::size_t crossn = 0, intran = 0;
-    for (const WorkerState& ws : workers) {
-      ascent += ws.ascent_cost;
-      intra_c += ws.intra_cost;
-      crossn += ws.cross_requests;
-      intran += ws.intra_requests;
-    }
-    cross_cost_w =
-        cross_cost_w * decay + static_cast<double>(ascent - prev_ascent);
-    intra_cost_w =
-        intra_cost_w * decay + static_cast<double>(intra_c - prev_intra_cost);
-    cross_reqs_w =
-        cross_reqs_w * decay + static_cast<double>(crossn - prev_cross);
-    intra_reqs_w =
-        intra_reqs_w * decay + static_cast<double>(intran - prev_intra);
-    prev_ascent = ascent;
-    prev_intra_cost = intra_c;
-    prev_cross = crossn;
-    prev_intra = intran;
-    RebalanceCostHints hints = base_hints;
-    if (cross_reqs_w > 0.0 && intra_reqs_w > 0.0)
-      hints.cross_penalty = std::max(
-          0.0, cross_cost_w / cross_reqs_w - intra_cost_w / intra_reqs_w);
-    RebalancePlan plan = state.epoch(net_.map(), hints);
-    bool changed = false;
-    if (plan.triggered) {
-      ++res.sim.rebalance_epochs;
-      if (!plan.migrations.empty()) {
-        const MigrationResult applied =
-            net_.apply_migrations(std::move(plan.migrations));
-        res.sim.migrations += applied.migrated;
-        res.sim.migration_cost += applied.total_cost();
-        changed = true;
-      }
-    }
-    if (lifecycle && apply_lifecycle(plan)) changed = true;
-    if (changed) publish_epoch();
-  };
+  resume_point();
 
   // ---- admission control ----------------------------------------------
   const bool throttled = opt_.admit_rate > 0.0;
@@ -818,9 +636,7 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
     const std::size_t got = stream.fill(chunk);
     if (got == 0) break;
     for (std::size_t i = 0; i < got; ++i) {
-      while (next_event < events.size() &&
-             events[next_event].at_request == offered)
-        fire_event(events[next_event], dispatched);
+      fire_due(offered, dispatched);
       // Pace to the arrival schedule: sleep for coarse gaps, spin out the
       // last stretch (sleep_until wakes late by scheduler quanta, which
       // would throttle multi-million-req/s schedules).
@@ -882,18 +698,36 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
       }
       if (net_.map().shard_of(r.dst) != a) ++cross_dispatched;
       ++dispatched;
-      if (next_event < events.size()) fault_tail.push_back(r);
-      if (adaptive) {
-        state.observe(r, net_.map());
-        if (dispatched % epoch == 0 && dispatched < total) {
-          epoch_barrier(dispatched);
-          // The barrier may have rewritten the map or fleet: re-anchor
-          // the crash tail so a later replay never spans it.
-          snapshot_all();
-        }
+      if (log.pending()) fault_tail.push_back(r);
+      if (!fleet.active()) continue;
+      fleet.observe(r, net_.map());
+      if (dispatched % fleet.epoch_requests() != 0 || dispatched >= total)
+        continue;
+      // The epoch barrier: drain the pipeline, then plan and apply through
+      // the fleet controller, and reshape the workers to match. The
+      // dispatcher keeps the arrival clock running, so this pause is
+      // charged to every request that arrives during it. Breakers reset:
+      // the fleet just proved it can drain (and merge renumbering would
+      // stale per-shard state anyway).
+      quiesce(dispatched);
+      if (degrade)
+        for (int s = 0; s < max_workers; ++s) set_breaker(s, kBreakerClosed);
+      CostSplit served;
+      for (const WorkerState& ws : workers) served += ws.split;
+      const FleetDelta delta = fleet.barrier(net_, served - measured, res.sim);
+      measured = served;
+      if (delta.spawned_shard >= 0) spawn_worker(delta.spawned_shard);
+      if (delta.retired_shard >= 0) retire_shard(delta.retired_shard);
+      if (delta.changed) {
+        route_epoch.fetch_add(1, std::memory_order_release);
+        ++res.route_epochs;
       }
+      // The barrier may have rewritten the map or fleet: re-anchor the
+      // crash tail so a later replay never spans it.
+      resume_point();
     }
   }
+  fire_due(offered, dispatched);  // events due once the last request is in
 
   res.sim.requests = offered;
   if (offered > 0 && last_arrival_ns > 0)

@@ -30,6 +30,10 @@
 // replica promotion and snapshot-restore recovery rebuild a killed
 // shard — all at the existing quiesce barrier (completed == dispatched),
 // where no request is in flight and the route can change shape safely.
+// What changes at a barrier is not decided here: the frontend calls the
+// batch pipeline's FleetController and RecoveryLog (sim/fleet.hpp), so
+// both drivers plan, reshape and recover the fleet the same way, and only
+// maps the returned FleetDelta onto its workers and route table.
 // Route/fleet mutations are published to workers through the inbox
 // mutexes (every item a worker pops was pushed after the mutation) with
 // the epoch counter as the cheap per-batch re-resolution trigger.
@@ -149,7 +153,9 @@ struct FrontendOptions {
   /// mirror into them and serve intra-shard requests from them.
   const RebalanceConfig* rebalance = nullptr;
   /// Non-null + enabled() injects scripted faults (sim/fault.hpp): each
-  /// event fires when the dispatch counter reaches its at_request.
+  /// event fires once at_request requests have been offered — checked
+  /// before each dispatch and once after the last, so an event at m
+  /// fires and one at m + 1 does not.
   /// kShardKill quiesces the pipeline, then recovers the shard — replica
   /// promotion when one exists, else a checksummed snapshot restore plus
   /// a dispatch-order replay of the killed shard's ops since the

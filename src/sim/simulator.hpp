@@ -9,7 +9,9 @@
 // it splits the trace into per-shard queues and drains the shards
 // concurrently on the Executor, with a sequential mode that is
 // bit-identical by construction (shards share no state, and per-shard op
-// order alone determines cost).
+// order alone determines cost). Between drain chunks it hands the fleet
+// to sim/fleet.hpp — the epoch barrier (FleetController) and the crash
+// recovery protocol (RecoveryLog) it shares with the open-loop frontend.
 #pragma once
 
 #include <cstdint>
@@ -147,9 +149,9 @@ namespace detail {
 /// Resolves the tree a LocalityScheduler should key against for a given
 /// network type: the underlying KAryTree where one exists, or the
 /// BinarySplayNet itself (it satisfies the scheduler's scalar lca()/root()
-/// fallback). Networks with no single schedulable tree (ShardedNetwork —
-/// use run_trace_sharded — and the virtual Network escape hatch) fail
-/// kHasScheduleTree and get a runtime error instead.
+/// fallback). A network with no single schedulable tree (ShardedNetwork —
+/// use run_trace_sharded) fails kHasScheduleTree and gets a runtime error
+/// instead.
 template <typename Net>
 constexpr bool kHasScheduleTree =
     requires(Net& n) { n.tree().root(); } ||
@@ -183,14 +185,13 @@ decltype(auto) schedule_tree(Net& net) {
 /// Replays a request stream over `net`, mutating it, pulling one chunk at
 /// a time — O(kStreamChunkRequests) memory regardless of the stream
 /// length. Monomorphic per network type: works on any object with a
-/// `ServeResult serve(NodeId, NodeId)` member (all concrete networks,
-/// ShardedNetwork, and the virtual Network escape hatch alike).
+/// `ServeResult serve(NodeId, NodeId)` member (every concrete network and
+/// ShardedNetwork alike).
 ///
 /// `sched` selects the intra-chunk serve order (sim/schedule.hpp). The
 /// default FIFO path is the pre-scheduler loop, untouched; kLocality
 /// reorders within windows of each chunk and throws for network types with
-/// no schedulable tree (ShardedNetwork — use run_trace_sharded — and the
-/// virtual escape hatch).
+/// no schedulable tree (ShardedNetwork — use run_trace_sharded).
 template <typename Net>
 SimResult run_trace_stream(Net& net, RequestStream& stream,
                            const ScheduleConfig& sched = {}) {

@@ -137,9 +137,9 @@ struct RebalanceConfig {
   // watermark migration policy measures, but is evaluated at *every*
   // epoch, independent of `trigger` and `policy` — a load spike needs a
   // systemic answer even when the hot-pair set is stationary. Plans are
-  // applied by the batch pipeline at its drain barrier
-  // (sim/simulator.hpp) and by the open-loop frontend at its quiesce
-  // barriers (sim/serve_frontend.hpp), where splits spawn workers and
+  // applied by one FleetController (sim/fleet.hpp), which both drivers
+  // call: the batch pipeline at its drain barrier and the open-loop
+  // frontend at its quiesce barriers, where splits spawn workers and
   // merges retire them mid-run.
 
   /// > 0 enables shard splitting: when the hottest shard's window load

@@ -139,7 +139,8 @@ TEST_P(CentroidNetTest, IntraSubtreeServeMatchesSplayNetSemantics) {
 
 INSTANTIATE_TEST_SUITE_P(Arity, CentroidNetTest, ::testing::Range(2, 9),
                          [](const auto& info) {
-                           return "k" + std::to_string(info.param);
+                           return std::string("k").append(
+                               std::to_string(info.param));
                          });
 
 TEST(CentroidNet, RejectsTooFewNodes) {

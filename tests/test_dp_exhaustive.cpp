@@ -111,8 +111,10 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{3, 4}, std::tuple{3, 6}, std::tuple{4, 5},
                       std::tuple{4, 6}, std::tuple{5, 6}),
     [](const auto& info) {
-      return "k" + std::to_string(std::get<0>(info.param)) + "_n" +
-             std::to_string(std::get<1>(info.param));
+      return std::string("k")
+          .append(std::to_string(std::get<0>(info.param)))
+          .append("_n")
+          .append(std::to_string(std::get<1>(info.param)));
     });
 
 TEST(DpExhaustive, UniformDemandSmall) {
@@ -165,9 +167,10 @@ TEST(DpDifferential, FlatEngineMatchesReferenceOracle) {
       for (NodeId u = 1; u <= n; ++u) {
         ASSERT_EQ(fast.tree.parent(u), ref.tree.parent(u))
             << "seed=" << seed << " k=" << k << " n=" << n << " node=" << u;
-        if (fast.tree.parent(u) != kNoNode)
+        if (fast.tree.parent(u) != kNoNode) {
           ASSERT_EQ(fast.tree.slot_in_parent(u), ref.tree.slot_in_parent(u))
               << "seed=" << seed << " k=" << k << " n=" << n << " node=" << u;
+        }
       }
       ++seeds;
     }

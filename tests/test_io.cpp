@@ -192,7 +192,9 @@ TEST(TreeIo, DotExportMentionsEveryNodeAndEdge) {
   EXPECT_NE(dot.find("digraph g {"), std::string::npos);
   int edges = 0;
   for (NodeId id = 1; id <= 13; ++id) {
-    EXPECT_NE(dot.find("n" + std::to_string(id) + " ["), std::string::npos);
+    const std::string node =
+        std::string("n").append(std::to_string(id)).append(" [");
+    EXPECT_NE(dot.find(node), std::string::npos);
     for (NodeId c : t.node(id).children)
       if (c != kNoNode) ++edges;
   }

@@ -67,7 +67,8 @@ TEST_P(LocalRouterTest, DeliversAfterRotationStorm) {
 
 INSTANTIATE_TEST_SUITE_P(Arity, LocalRouterTest, ::testing::Values(2, 3, 5, 8),
                          [](const auto& info) {
-                           return "k" + std::to_string(info.param);
+                           return std::string("k").append(
+                               std::to_string(info.param));
                          });
 
 TEST(LocalRouter, SelfDelivery) {

@@ -115,7 +115,8 @@ TEST_P(SplayNetPropertyTest, HigherLocalityLowersCost) {
 
 INSTANTIATE_TEST_SUITE_P(Arity, SplayNetPropertyTest, ::testing::Range(2, 11),
                          [](const auto& info) {
-                           return "k" + std::to_string(info.param);
+                           return std::string("k").append(
+                               std::to_string(info.param));
                          });
 
 TEST(SplayNet, RejectsInvalidInitialTopology) {
