@@ -16,94 +16,60 @@ KAryTree::KAryTree(int k, int n) : k_(k), n_(n) {
   nkeys_.assign(slots, 0);  // zero keys -> one (empty) interval
   keys_.assign(static_cast<size_t>(n) * static_cast<size_t>(k - 1), 0);
   children_.assign(static_cast<size_t>(n) * static_cast<size_t>(k), kNoNode);
-  depth_.assign(slots, 0);
-  depth_epoch_.assign(slots, 0);  // epoch_ starts at 1: everything stale
-  depth_scratch_.reserve(slots);
-  route_scratch_.reserve(slots);
 }
 
 int KAryTree::depth(NodeId id) const {
-  check(id);
-  sync_epoch();
-  if (depth_epoch_[static_cast<size_t>(id)] == epoch_)
-    return depth_[static_cast<size_t>(id)];
-  // Walk up to the nearest fresh ancestor (or the root), then stamp true
-  // depths down the walked path so the next read is O(1).
-  std::vector<NodeId>& path = depth_scratch_;
-  path.clear();
-  NodeId cur = id;
-  int base = -1;  // depth of the node above path.back(); -1 = none (root)
-  while (true) {
-    if (depth_epoch_[static_cast<size_t>(cur)] == epoch_) {
-      base = depth_[static_cast<size_t>(cur)];
-      break;
-    }
-    path.push_back(cur);
-    if (static_cast<int>(path.size()) > n_)
-      throw TreeError("parent cycle detected in depth()");
-    const NodeId up = parent_[static_cast<size_t>(cur)];
-    if (up == kNoNode) break;  // cur is a root: gets depth 0 below
-    cur = up;
+  int d = 0;
+  for (NodeId cur = parent(id); cur != kNoNode;
+       cur = parent_[static_cast<size_t>(cur)]) {
+    if (++d > n_) throw TreeError("parent cycle detected in depth()");
   }
-  int d = base;  // path.back() gets d+1 (base == -1 makes a root 0)
-  for (auto it = path.rbegin(); it != path.rend(); ++it) {
-    ++d;
-    depth_[static_cast<size_t>(*it)] = d;
-    depth_epoch_[static_cast<size_t>(*it)] = epoch_;
-  }
-  return depth_[static_cast<size_t>(id)];
+  return d;
 }
 
-NodeId KAryTree::lca(NodeId u, NodeId v) const {
-  int du = depth(u);
-  int dv = depth(v);
-  NodeId a = u;
-  NodeId b = v;
-  while (du > dv) {
-    a = parent_[static_cast<size_t>(a)];
-    --du;
-  }
-  while (dv > du) {
-    b = parent_[static_cast<size_t>(b)];
-    --dv;
-  }
-  while (a != b) {
-    a = parent_[static_cast<size_t>(a)];
-    b = parent_[static_cast<size_t>(b)];
-    if (a == kNoNode || b == kNoNode)
-      throw TreeError("nodes are in disconnected components");
-  }
-  return a;
-}
+NodeId KAryTree::lca(NodeId u, NodeId v) const { return path_info(u, v).lca; }
 
 int KAryTree::distance(NodeId u, NodeId v) const {
   return path_info(u, v).distance;
 }
 
 PathInfo KAryTree::path_info(NodeId u, NodeId v) const {
-  int du = depth(u);
-  int dv = depth(v);
-  NodeId a = u;
-  NodeId b = v;
-  int d = 0;
-  while (du > dv) {
-    a = parent_[static_cast<size_t>(a)];
-    --du;
-    ++d;
-  }
-  while (dv > du) {
-    b = parent_[static_cast<size_t>(b)];
-    --dv;
-    ++d;
-  }
-  while (a != b) {
-    a = parent_[static_cast<size_t>(a)];
-    b = parent_[static_cast<size_t>(b)];
-    d += 2;
-    if (a == kNoNode || b == kNoNode)
+  check(u);
+  check(v);
+  // Climbs from `x` until it is `target` or its range holds target's id
+  // (validate()'s open-interval test), counting the steps. Slot 0 holds the
+  // full range, so a climb past a root stops at kNoNode.
+  const auto climb = [this](NodeId x, NodeId target, int& steps) {
+    const RoutingKey key = id_key(target);
+    while (x != target && !(lo_[static_cast<size_t>(x)] < key &&
+                            key < hi_[static_cast<size_t>(x)])) {
+      x = parent_[static_cast<size_t>(x)];
+      ++steps;
+    }
+    return x;
+  };
+  int su = 0;
+  int sv = 0;
+  const NodeId a = climb(u, v, su);
+  const NodeId b = climb(v, u, sv);
+  // Below the LCA each side's ranges exclude the other endpoint, so when
+  // neither endpoint is an ancestor of the other both climbs stop at it.
+  if (a == b && a != kNoNode) return PathInfo{a, su + sv};
+  // One endpoint is a proper ancestor of the other. Its own climb stopped
+  // at once (its range holds the descendant), but the descendant's may have
+  // stopped early: an ancestor's key can lie inside a descendant's range
+  // (types.hpp), and with keyless nodes two ranges can tie, so the ranges
+  // cannot tell the sides apart. Climbing on in lockstep reaches the
+  // ancestor from the descendant's side.
+  int d = su + sv;
+  for (NodeId x = a, y = b;; ++d) {
+    if (x == v) return PathInfo{v, d};
+    if (y == u) return PathInfo{u, d};
+    if (x == kNoNode && y == kNoNode)
       throw TreeError("nodes are in disconnected components");
+    x = parent_[static_cast<size_t>(x)];
+    y = parent_[static_cast<size_t>(y)];
   }
-  return PathInfo{a, d};
 }
 
 void KAryTree::path_info_batch(std::span<const NodeId> us,
@@ -112,58 +78,20 @@ void KAryTree::path_info_batch(std::span<const NodeId> us,
   if (us.size() != vs.size() || us.size() != out.size())
     throw TreeError("path_info_batch: span sizes must match");
   if (group < 1) throw TreeError("path_info_batch: group must be >= 1");
-  // One in-flight walk: the exact state machine of scalar path_info(),
-  // advanced one hop per round.
-  struct Walk {
-    NodeId a, b;
-    int da, db, d;
-    size_t slot;  // index into out
+  const auto prefetch_node = [this](NodeId id) {
+    const size_t i = static_cast<size_t>(check(id));
+    prefetch_read(&parent_[i]);
+    prefetch_read(&lo_[i]);
+    prefetch_read(&hi_[i]);
   };
-  constexpr size_t kMaxGroup = 64;
-  Walk walks[kMaxGroup];
-  const size_t g = std::min<size_t>(static_cast<size_t>(group), kMaxGroup);
+  const size_t g = static_cast<size_t>(group);
   for (size_t base = 0; base < us.size(); base += g) {
-    const size_t lanes = std::min(g, us.size() - base);
-    // Depth reads first (memo repair may walk and stamp paths); prefetch
-    // each lane's endpoints ahead of its depth() call.
-    for (size_t i = 0; i < lanes; ++i) {
-      prefetch_read(&parent_[static_cast<size_t>(check(us[base + i]))]);
-      prefetch_read(&parent_[static_cast<size_t>(check(vs[base + i]))]);
+    const size_t end = std::min(us.size(), base + g);
+    for (size_t i = base; i < end; ++i) {
+      prefetch_node(us[i]);
+      prefetch_node(vs[i]);
     }
-    size_t live = 0;
-    for (size_t i = 0; i < lanes; ++i) {
-      Walk w{us[base + i], vs[base + i], depth(us[base + i]),
-             depth(vs[base + i]), 0, base + i};
-      walks[live++] = w;
-    }
-    while (live > 0) {
-      size_t keep = 0;
-      for (size_t i = 0; i < live; ++i) {
-        Walk w = walks[i];
-        if (w.da > w.db) {
-          w.a = parent_[static_cast<size_t>(w.a)];
-          --w.da;
-          ++w.d;
-        } else if (w.db > w.da) {
-          w.b = parent_[static_cast<size_t>(w.b)];
-          --w.db;
-          ++w.d;
-        } else if (w.a != w.b) {
-          w.a = parent_[static_cast<size_t>(w.a)];
-          w.b = parent_[static_cast<size_t>(w.b)];
-          w.d += 2;
-          if (w.a == kNoNode || w.b == kNoNode)
-            throw TreeError("nodes are in disconnected components");
-        } else {
-          out[w.slot] = PathInfo{w.a, w.d};
-          continue;  // lane retired
-        }
-        prefetch_read(&parent_[static_cast<size_t>(w.a)]);
-        prefetch_read(&parent_[static_cast<size_t>(w.b)]);
-        walks[keep++] = w;
-      }
-      live = keep;
-    }
+    for (size_t i = base; i < end; ++i) out[i] = path_info(us[i], vs[i]);
   }
 }
 
@@ -201,34 +129,17 @@ int KAryTree::warm_root_paths(std::span<const NodeId> ids) const {
 }
 
 int KAryTree::route_into(NodeId u, NodeId v, std::vector<NodeId>& out) const {
-  int du = depth(u);
-  int dv = depth(v);
-  out.clear();
-  std::vector<NodeId>& down = route_scratch_;
-  down.clear();
-  NodeId a = u;
-  NodeId b = v;
-  while (du > dv) {
-    out.push_back(a);
-    a = parent_[static_cast<size_t>(a)];
-    --du;
-  }
-  while (dv > du) {
-    down.push_back(b);
-    b = parent_[static_cast<size_t>(b)];
-    --dv;
-  }
-  while (a != b) {
-    out.push_back(a);
-    down.push_back(b);
-    a = parent_[static_cast<size_t>(a)];
-    b = parent_[static_cast<size_t>(b)];
-    if (a == kNoNode || b == kNoNode)
-      throw TreeError("nodes are in disconnected components");
-  }
-  out.push_back(a);  // the LCA
-  out.insert(out.end(), down.rbegin(), down.rend());
-  return static_cast<int>(out.size()) - 1;
+  const PathInfo p = path_info(u, v);
+  out.resize(static_cast<size_t>(p.distance) + 1);
+  // u's climb fills the front up to the LCA; v's climb fills the back.
+  size_t i = 0;
+  for (NodeId x = u; x != p.lca; x = parent_[static_cast<size_t>(x)])
+    out[i++] = x;
+  out[i] = p.lca;
+  i = out.size() - 1;
+  for (NodeId y = v; y != p.lca; y = parent_[static_cast<size_t>(y)])
+    out[i--] = y;
+  return p.distance;
 }
 
 std::vector<NodeId> KAryTree::route(NodeId u, NodeId v) const {
@@ -238,15 +149,7 @@ std::vector<NodeId> KAryTree::route(NodeId u, NodeId v) const {
 }
 
 bool KAryTree::is_ancestor(NodeId anc, NodeId id) const {
-  check(anc);
-  const int da = depth(anc);
-  int d = depth(id);
-  NodeId cur = id;
-  while (d > da) {
-    cur = parent_[static_cast<size_t>(cur)];
-    --d;
-  }
-  return cur == anc;
+  return path_info(anc, id).lca == anc;
 }
 
 int KAryTree::interval_of(NodeId id, RoutingKey key) const {
@@ -314,7 +217,6 @@ void KAryTree::set_root(NodeId id) {
   slot_in_parent_[static_cast<size_t>(id)] = -1;
   lo_[static_cast<size_t>(id)] = kKeyMin;
   hi_[static_cast<size_t>(id)] = kKeyMax;
-  dirty_ = true;
 }
 
 void KAryTree::install(NodeId id, std::span<const RoutingKey> keys,
@@ -337,7 +239,6 @@ void KAryTree::install(NodeId id, std::span<const RoutingKey> keys,
     parent_[static_cast<size_t>(c)] = id;
     slot_in_parent_[static_cast<size_t>(c)] = s;
   }
-  dirty_ = true;
 }
 
 void KAryTree::link(NodeId parent, int slot, NodeId child) {
@@ -352,7 +253,6 @@ void KAryTree::link(NodeId parent, int slot, NodeId child) {
   children_[child_base(parent) + static_cast<size_t>(slot)] = child;
   parent_[static_cast<size_t>(child)] = parent;
   slot_in_parent_[static_cast<size_t>(child)] = slot;
-  dirty_ = true;
 }
 
 std::optional<std::string> KAryTree::validate() const {
@@ -360,17 +260,15 @@ std::optional<std::string> KAryTree::validate() const {
   if (root_ == kNoNode) return "no root set";
   if (parent_[static_cast<size_t>(root_)] != kNoNode)
     return "root has a parent";
-  sync_epoch();  // pending mutations invalidate every depth memo below
 
-  // DFS with explicit [lo, hi) ranges and true depths; checks structure,
-  // search property, and the depth cache.
+  // DFS with explicit [lo, hi) ranges; checks structure, search property,
+  // and the cached ranges.
   struct Frame {
     NodeId id;
     RoutingKey lo, hi;
-    int depth;
   };
   std::vector<bool> seen(static_cast<size_t>(n_) + 1, false);
-  std::vector<Frame> stack = {{root_, kKeyMin, kKeyMax, 0}};
+  std::vector<Frame> stack = {{root_, kKeyMin, kKeyMax}};
   int visited = 0;
   while (!stack.empty()) {
     Frame f = stack.back();
@@ -391,13 +289,6 @@ std::optional<std::string> KAryTree::validate() const {
     }
     if (nd.lo != f.lo || nd.hi != f.hi) {
       err << "node " << f.id << " has stale cached range";
-      return err.str();
-    }
-    if (depth_epoch_[static_cast<size_t>(f.id)] == epoch_ &&
-        depth_[static_cast<size_t>(f.id)] != f.depth) {
-      err << "node " << f.id << " has a stale depth memo ("
-          << depth_[static_cast<size_t>(f.id)] << ", true depth " << f.depth
-          << ")";
       return err.str();
     }
     if (static_cast<int>(nd.keys.size()) > k_ - 1) {
@@ -439,7 +330,7 @@ std::optional<std::string> KAryTree::validate() const {
       RoutingKey chi = (s == static_cast<int>(nd.keys.size()))
                            ? f.hi
                            : nd.keys[static_cast<size_t>(s)];
-      stack.push_back({c, clo, chi, f.depth + 1});
+      stack.push_back({c, clo, chi});
     }
   }
   if (visited != n_) {

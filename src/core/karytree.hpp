@@ -15,16 +15,13 @@
 // free of allocator traffic. `node(id)` returns a cheap view whose
 // `keys`/`children` are spans into the flat buffers.
 //
-// Depth cache: each node carries a memoized depth validated by an epoch
-// counter. Structural mutations set a dirty flag; the next depth-dependent
-// query bumps the epoch (invalidating every memo in O(1)) and reads repair
-// lazily by walking to the nearest fresh ancestor and stamping the walked
-// path. Within one mutation-free window — e.g. the lca + distance pair at
-// the start of serve(), or an entire static-tree replay — repeated depth
-// reads are O(1); a replay over a never-rotating tree converges to fully
-// memoized depths. Because the memo arrays are mutable, const queries are
-// NOT safe to call concurrently on the same tree (each sweep/DP worker owns
-// its own tree instance, see sim/sweep.hpp).
+// Tree walks: every node caches the identifier range [lo, hi) its parent
+// assigns to its subtree (rotations keep it current in O(1)). path_info()
+// climbs from each endpoint only until the range holds the other endpoint's
+// id, so distance, LCA and routing queries cost O(distance), not O(depth),
+// and need no per-node state beyond the topology itself. Const queries
+// write nothing, so several threads may run them at once on a tree nobody
+// is mutating.
 #pragma once
 
 #include <cstdint>
@@ -120,37 +117,28 @@ class KAryTree {
   }
 
   // --- topology queries -----------------------------------------------
-  /// Number of edges on the root path. O(1) when memoized (see depth cache
-  /// note above); otherwise walks to the nearest fresh ancestor and stamps
-  /// the path.
+  /// Number of edges on the root path: a plain O(depth) parent chase.
   int depth(NodeId id) const;
-  /// True iff `id`'s depth memo is valid for the current topology (test /
-  /// diagnostics hook for the cache machinery).
-  bool depth_is_cached(NodeId id) const {
-    check(id);
-    return !dirty_ && depth_epoch_[static_cast<size_t>(id)] == epoch_;
-  }
-  /// Lowest common ancestor: equalizes depths, then walks up in lockstep.
-  /// O(distance) plus the cost of the two depth() reads.
+  /// Lowest common ancestor: path_info(u, v).lca. O(distance).
   NodeId lca(NodeId u, NodeId v) const;
-  /// Tree distance in edges between two nodes; single depth-directed walk,
-  /// no lca() recomputation.
+  /// Tree distance in edges between two nodes. O(distance).
   int distance(NodeId u, NodeId v) const;
-  /// LCA and distance from one walk — what serve() needs per request.
+  /// LCA and distance from one O(distance) walk — what serve() needs per
+  /// request. Each endpoint climbs until it reaches the other or a node
+  /// whose cached range holds the other's id; when one endpoint is an
+  /// ancestor of the other, a lockstep climb settles which one.
   PathInfo path_info(NodeId u, NodeId v) const;
   /// Batch variant of path_info(): computes `out[i] = path_info(us[i],
-  /// vs[i])` with up to `group` walks advanced in lockstep, each round
-  /// prefetching the next parent hop of every live walk so the DRAM misses
-  /// of independent root paths overlap instead of serializing. Results are
-  /// bit-identical to the scalar calls (same arithmetic, same memo repair,
-  /// same error conditions). All three spans must have equal length.
+  /// vs[i])` in blocks of `group` pairs, prefetching every endpoint's
+  /// parent / range lines of a block before walking it so the first DRAM
+  /// misses of independent walks overlap. Each result is the scalar call's.
+  /// All three spans must have equal length.
   void path_info_batch(std::span<const NodeId> us, std::span<const NodeId> vs,
                        std::span<PathInfo> out, int group = 8) const;
   /// Interleaved parent-chase from each id to the root that only issues
   /// read prefetches on the parent / key / child cache lines a subsequent
-  /// splay over those nodes will touch. Deliberately memo-free: it never
-  /// reads or stamps the depth cache, so it is safe to call between
-  /// mutations without epoch churn. Returns the total number of hops walked
+  /// splay over those nodes will touch. O(depth) by design: it warms whole
+  /// root paths. Returns the total number of hops walked
   /// (the sum of the ids' depths). Node ids are permanent indexes into the
   /// flat SoA buffers — nodes never move in memory — so the warmed lines
   /// stay useful even as rotations rewire links underneath.
@@ -161,6 +149,7 @@ class KAryTree {
   /// edge count. No allocation once `out`'s capacity covers the path.
   int route_into(NodeId u, NodeId v, std::vector<NodeId>& out) const;
   /// True iff `anc` lies on the root path of `id` (anc == id counts).
+  /// O(distance).
   bool is_ancestor(NodeId anc, NodeId id) const;
 
   /// Descends from the root using the search property only; returns the
@@ -200,8 +189,7 @@ class KAryTree {
   void link(NodeId parent, int slot, NodeId child);
 
   // --- validation -------------------------------------------------------
-  /// Full structural + search-property audit, including the depth cache:
-  /// every node whose depth memo is stamped fresh must hold its true depth.
+  /// Full structural + search-property audit, including the cached ranges.
   /// Returns std::nullopt when the tree is a valid k-ary search tree
   /// network covering all n nodes, else a human-readable description of the
   /// first violation found.
@@ -221,21 +209,15 @@ class KAryTree {
   size_t child_base(NodeId id) const {
     return static_cast<size_t>(id - 1) * static_cast<size_t>(k_);
   }
-  /// Folds any pending mutation into one O(1) epoch bump; called by every
-  /// depth-dependent read.
-  void sync_epoch() const {
-    if (dirty_) {
-      ++epoch_;
-      dirty_ = false;
-    }
-  }
 
   int k_;
   int n_;
   NodeId root_ = kNoNode;
 
-  // Structure-of-arrays node storage; index 0 unused (ids are 1-based) in
-  // the scalar arrays, flat buffers are 0-based via key_base/child_base.
+  // Structure-of-arrays node storage; the flat buffers are 0-based via
+  // key_base/child_base. Ids are 1-based, and slot 0 of the scalar arrays
+  // stands for kNoNode: parent kNoNode and the full range, so a climb that
+  // steps past a root stays at kNoNode and stops there.
   std::vector<NodeId> parent_;
   std::vector<std::int32_t> slot_in_parent_;
   std::vector<RoutingKey> lo_;
@@ -243,14 +225,6 @@ class KAryTree {
   std::vector<std::int32_t> nkeys_;
   std::vector<RoutingKey> keys_;    ///< n * (k-1) inline key slots
   std::vector<NodeId> children_;    ///< n * k inline child slots
-
-  // Depth memoization (see class comment). Mutable: filled by const reads.
-  mutable std::vector<std::int32_t> depth_;
-  mutable std::vector<std::uint64_t> depth_epoch_;
-  mutable std::uint64_t epoch_ = 1;
-  mutable bool dirty_ = false;
-  mutable std::vector<NodeId> depth_scratch_;  ///< repair-walk path buffer
-  mutable std::vector<NodeId> route_scratch_;  ///< route_into v-side buffer
 };
 
 }  // namespace san

@@ -14,9 +14,8 @@
 // routing/rotation costs are exactly what FIFO would report for that
 // permutation — deterministic (stable sort over deterministic keys),
 // golden-lockable, and honestly different from FIFO's costs because splay
-// order matters. The scheduling pass itself is mutation-free, so the depth
-// memos it repairs stay valid for the whole window (the epoch never bumps
-// mid-pass), making the per-request path_info keying cheap.
+// order matters. The scheduling pass itself is mutation-free, and its
+// per-request path_info keying is an O(distance) walk.
 #pragma once
 
 #include <algorithm>

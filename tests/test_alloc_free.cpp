@@ -2,9 +2,9 @@
 // global allocation functions with counting wrappers; after a short warm-up
 // (first rotations size the thread-local rotation scratch to its per-arity
 // high-water mark), a serve/replay loop must perform ZERO heap allocations:
-// KAryTree's flat storage never grows, depth-cache repairs use the
-// tree-owned scratch, rotations reuse the thread-local merge buffers, and
-// the static costing path is pure pointer chasing.
+// KAryTree's flat storage never grows, tree walks keep no state of their
+// own, rotations reuse the thread-local merge buffers, and the static
+// costing path is pure pointer chasing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -117,8 +117,8 @@ TEST(AllocFree, StaticReplayAndTopologyQueriesAreAllocationFree) {
   Trace trace;
   trace.n = 500;
   trace.requests = reqs;
-  // Warm-up fills the depth memo (and proves the first pass allocates
-  // nothing either — the repair walk uses tree-owned scratch).
+  // The first pass over a fresh tree allocates nothing either: the walks
+  // have no lazily sized state.
   const long before_cold = allocations();
   const SimResult cold = run_trace_static(tree, trace);
   EXPECT_EQ(allocations() - before_cold, 0) << "cold static replay allocated";
@@ -162,6 +162,29 @@ TEST(AllocFree, BufferReusingVariantsAreAllocationFreeOnceWarm) {
   }
   EXPECT_EQ(allocations() - before, 0) << "buffer-reusing variants allocated";
   EXPECT_GT(hop_total, 0);
+}
+
+TEST(AllocFree, PathQueriesOnAChainAreAllocationFree) {
+  // A splayed sequential scan leaves a k=2 tree chain-shaped: the walks
+  // there are long, and still allocate nothing once `path` has capacity.
+  const int n = 4096;
+  KArySplayNet net = KArySplayNet::balanced(2, n);
+  const Trace scan = gen_sequential_scan(n, static_cast<std::size_t>(n), 3);
+  for (const Request& r : scan.requests) net.serve(r.src, r.dst);
+  const KAryTree& tree = net.tree();
+  std::vector<NodeId> path;
+  path.reserve(static_cast<size_t>(n) + 1);
+
+  const long before = allocations();
+  long hop_total = 0;
+  for (NodeId u = 1; u <= n; u += 7) {
+    const NodeId v = n + 1 - u;
+    hop_total += tree.path_info(u, v).distance;
+    hop_total += tree.route_into(u, v, path);
+    hop_total += tree.route_into(v, tree.root(), path);
+  }
+  EXPECT_EQ(allocations() - before, 0) << "chain path queries allocated";
+  EXPECT_GT(hop_total, n);
 }
 
 TEST(AllocFree, BinarySplayServeIsAllocationFree) {

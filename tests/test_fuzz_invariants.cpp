@@ -1,21 +1,26 @@
 // Property fuzz: randomized serve/access/rotation sequences interleaved
 // with full audits. Seeded and deterministic (tier1). Invariants beyond
 // validate()'s structural/search-property checks:
-//   * depth cache: depth() always equals an independent parent-chase
-//     recompute, reads stamp the memo, and validate() cross-checks every
-//     fresh memo against true BFS depths;
+//   * path queries: path_info / lca / distance / is_ancestor / route_into /
+//     path_info_batch, all O(distance) range climbs, agree with an
+//     independent depth-equalising parent-chase oracle on saturated and
+//     unsaturated (keyless-node) trees, for every endpoint relation;
 //   * lo/hi ranges: recomputed top-down from the keys alone, they must
 //     partition each node's range exactly as the cached lo/hi claim;
 //   * adjustment accounting: each rotation's edge_changes/parent_changes
 //     must match an independently diffed before/after parent snapshot.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/rotation.hpp"
 #include "core/shape.hpp"
 #include "core/splaynet.hpp"
+#include "tree_builders.hpp"
 
 namespace san {
 namespace {
@@ -27,14 +32,29 @@ int chase_depth(const KAryTree& t, NodeId id) {
   return d;
 }
 
-void expect_depth_cache_consistent(const KAryTree& t) {
-  for (NodeId id = 1; id <= t.size(); ++id) {
+void expect_depth_matches_chase(const KAryTree& t) {
+  for (NodeId id = 1; id <= t.size(); ++id)
     ASSERT_EQ(t.depth(id), chase_depth(t, id)) << "node " << id;
-    ASSERT_TRUE(t.depth_is_cached(id)) << "read did not stamp node " << id;
-  }
-  // With every memo now stamped, validate()'s depth audit covers all nodes.
   const auto err = t.validate();
   ASSERT_FALSE(err.has_value()) << *err;
+}
+
+// Independent LCA: equalise depths by parent chasing, then climb in
+// lockstep. Uses no ranges, so it cannot share a range-walk bug.
+PathInfo oracle_path(const KAryTree& t, NodeId u, NodeId v) {
+  int du = chase_depth(t, u);
+  int dv = chase_depth(t, v);
+  PathInfo p{kNoNode, du + dv};
+  for (; du > dv; --du) u = t.parent(u);
+  for (; dv > du; --dv) v = t.parent(v);
+  while (u != v) {
+    u = t.parent(u);
+    v = t.parent(v);
+    --du;
+  }
+  p.lca = u;
+  p.distance -= 2 * du;
+  return p;
 }
 
 // Recompute every node's [lo, hi) from the root down using only the keys,
@@ -112,7 +132,7 @@ TEST(FuzzInvariants, ServeAccessMixWithFullAudits) {
       else
         net.serve(u, v);
       if (i % 100 == 99) {
-        expect_depth_cache_consistent(net.tree());
+        expect_depth_matches_chase(net.tree());
         expect_ranges_partition(net.tree());
       }
     }
@@ -155,40 +175,123 @@ TEST(FuzzInvariants, RotationAccountingMatchesIndependentEdgeDiff) {
   }
 }
 
-TEST(FuzzInvariants, DepthMemoSurvivesInterleavedReadsAndRotations) {
-  // Reads fill the memo; rotations invalidate it wholesale via the epoch.
-  // Interleave them in every order and verify depth() never returns a stale
-  // value (the exact failure mode an incremental-update bug would cause).
+// Checks every path query on (u, v) against the oracle.
+void expect_path_queries_match(const KAryTree& t, NodeId u, NodeId v,
+                               std::vector<NodeId>& route) {
+  const PathInfo want = oracle_path(t, u, v);
+  const PathInfo got = t.path_info(u, v);
+  ASSERT_EQ(got.lca, want.lca) << u << "->" << v;
+  ASSERT_EQ(got.distance, want.distance) << u << "->" << v;
+  ASSERT_EQ(t.lca(u, v), want.lca) << u << "->" << v;
+  ASSERT_EQ(t.distance(u, v), want.distance) << u << "->" << v;
+  ASSERT_EQ(t.is_ancestor(u, v), want.lca == u) << u << "->" << v;
+  ASSERT_EQ(t.is_ancestor(v, u), want.lca == v) << u << "->" << v;
+  ASSERT_EQ(t.route_into(u, v, route), want.distance) << u << "->" << v;
+  ASSERT_EQ(route.size(), static_cast<size_t>(want.distance) + 1);
+  ASSERT_EQ(route.front(), u);
+  ASSERT_EQ(route.back(), v);
+  for (size_t i = 0; i + 1 < route.size(); ++i)
+    ASSERT_TRUE(t.parent(route[i]) == route[i + 1] ||
+                t.parent(route[i + 1]) == route[i])
+        << u << "->" << v << " hop " << i;
+}
+
+TEST(FuzzInvariants, PathQueriesMatchDepthOracle) {
+  // Saturated random shapes and unsaturated sparse trees (keyless leaves
+  // and inner nodes whose ranges tie with their only child's), rotated
+  // between queries. Every pair kind is drawn on purpose: u == v, u a
+  // proper ancestor of v, v a proper ancestor of u, and a random pair.
   std::mt19937_64 rng(555);
-  KAryTree t = build_from_shape(4, make_random_shape(100, 4, rng));
-  std::uniform_int_distribution<NodeId> pick(1, 100);
-  for (int i = 0; i < 3000; ++i) {
-    const NodeId x = pick(rng);
-    switch (rng() % 3) {
-      case 0:
-        ASSERT_EQ(t.depth(x), chase_depth(t, x)) << "op " << i;
-        break;
-      case 1: {
-        if (t.parent(x) == kNoNode) break;
-        if (t.parent(t.parent(x)) != kNoNode)
-          k_splay(t, x);
-        else
-          k_semi_splay(t, x);
-        break;
+  for (const int k : {2, 3, 5, 9}) {
+    for (const bool sparse : {false, true}) {
+      const int n = 40 + static_cast<int>(rng() % 80);
+      KAryTree t = sparse
+                       ? build_sparse(k, make_random_shape(
+                                             n, std::max(2, k - 1), rng))
+                       : build_from_shape(k, make_random_shape(n, k, rng));
+      std::uniform_int_distribution<NodeId> pick(1, n);
+      std::vector<NodeId> route, us, vs;
+      int kinds[4] = {0, 0, 0, 0};  // u == v, u above v, v above u, apart
+      for (int i = 0; i < 2000; ++i) {
+        const NodeId x = pick(rng);
+        if (rng() % 3 == 0) {
+          if (t.parent(x) == kNoNode) continue;
+          if (t.parent(t.parent(x)) != kNoNode && (rng() & 1))
+            k_splay(t, x);
+          else
+            k_semi_splay(t, x);
+          continue;
+        }
+        // An ancestor of x, `up` levels above (clamped at the root).
+        NodeId anc = x;
+        for (int up = 1 + static_cast<int>(rng() % 6);
+             up > 0 && t.parent(anc) != kNoNode; --up)
+          anc = t.parent(anc);
+        const int draw = static_cast<int>(rng() % 4);
+        NodeId u = x, v = x;
+        if (draw == 1) u = anc;
+        if (draw == 2) v = anc;
+        if (draw == 3) v = pick(rng);
+        ASSERT_NO_FATAL_FAILURE(expect_path_queries_match(t, u, v, route))
+            << "k=" << k << " sparse=" << sparse << " op " << i;
+        // Count the relation the pair really has.
+        const NodeId lca = oracle_path(t, u, v).lca;
+        ++kinds[u == v ? 0 : lca == u ? 1 : lca == v ? 2 : 3];
+        us.push_back(u);
+        vs.push_back(v);
+        if (us.size() == 13) {  // not a multiple of the batch group
+          std::vector<PathInfo> batch(us.size());
+          t.path_info_batch(us, vs, batch, /*group=*/4);
+          for (size_t j = 0; j < us.size(); ++j) {
+            const PathInfo want = oracle_path(t, us[j], vs[j]);
+            ASSERT_EQ(batch[j].lca, want.lca) << "lane " << j;
+            ASSERT_EQ(batch[j].distance, want.distance) << "lane " << j;
+          }
+          us.clear();
+          vs.clear();
+        }
       }
-      case 2: {
-        NodeId y = pick(rng);
-        const PathInfo info = t.path_info(x, y);
-        ASSERT_EQ(info.distance,
-                  chase_depth(t, x) + chase_depth(t, y) -
-                      2 * chase_depth(t, info.lca))
-            << "op " << i;
-        ASSERT_TRUE(t.is_ancestor(info.lca, x));
-        ASSERT_TRUE(t.is_ancestor(info.lca, y));
-        break;
-      }
+      for (const int c : kinds)
+        EXPECT_GT(c, 50) << "k=" << k << " sparse=" << sparse;
+      ASSERT_NO_FATAL_FAILURE(expect_depth_matches_chase(t));
     }
   }
+}
+
+TEST(FuzzInvariants, PathQueriesRejectForests) {
+  // Two components: 2 (root, full range) over 1, and 4 over 3 with 4
+  // never linked. Every path query across them must throw.
+  KAryTree t(2, 4);
+  t.install(2, {id_key(2)}, {1, kNoNode}, kKeyMin, kKeyMax);
+  t.install(1, {id_key(1)}, {kNoNode, kNoNode}, kKeyMin, id_key(2));
+  t.install(4, {id_key(4)}, {3, kNoNode}, kKeyMin, kKeyMax);
+  t.install(3, {id_key(3)}, {kNoNode, kNoNode}, kKeyMin, id_key(4));
+  t.set_root(2);
+  std::vector<NodeId> route;
+  for (const auto& [u, v] : {std::pair{1, 3}, std::pair{3, 1},
+                             std::pair{2, 4}, std::pair{1, 4}}) {
+    EXPECT_THROW(t.path_info(u, v), TreeError) << u << "->" << v;
+    EXPECT_THROW(t.lca(u, v), TreeError) << u << "->" << v;
+    EXPECT_THROW(t.distance(u, v), TreeError) << u << "->" << v;
+    EXPECT_THROW(t.is_ancestor(u, v), TreeError) << u << "->" << v;
+    EXPECT_THROW(t.route_into(u, v, route), TreeError) << u << "->" << v;
+  }
+  std::vector<NodeId> us = {1, 1}, vs = {2, 3};
+  std::vector<PathInfo> out(2);
+  EXPECT_THROW(t.path_info_batch(us, vs, out), TreeError);
+  // Within a component the queries still answer.
+  EXPECT_EQ(t.path_info(1, 2).lca, 2);
+  EXPECT_EQ(t.distance(3, 4), 1);
+
+  // Roots whose ranges exclude the other side: both climbs step past their
+  // roots to kNoNode, which must not pass for a common ancestor.
+  KAryTree f(2, 4);
+  f.install(2, {id_key(2)}, {1, kNoNode}, kKeyMin, id_key(3));
+  f.install(1, {id_key(1)}, {kNoNode, kNoNode}, kKeyMin, id_key(2));
+  f.install(4, {id_key(4)}, {3, kNoNode}, id_key(2), kKeyMax);
+  f.install(3, {id_key(3)}, {kNoNode, kNoNode}, id_key(2), id_key(4));
+  EXPECT_THROW(f.path_info(1, 3), TreeError);
+  EXPECT_THROW(f.path_info(4, 2), TreeError);
 }
 
 }  // namespace

@@ -1,8 +1,14 @@
 // Unit tests for the KAryTree container: construction, queries, validation.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "core/karytree.hpp"
 #include "core/shape.hpp"
+#include "core/splaynet.hpp"
 
 namespace san {
 namespace {
@@ -128,6 +134,46 @@ TEST(KAryTree, BrokenHandBuiltTreeIsInvalid) {
   // Keys outside the node's open range must be caught.
   KAryTree t = broken_tree();
   EXPECT_TRUE(t.validate().has_value());
+}
+
+// The const queries keep no state in the tree, so threads may share one
+// (unmutated) tree. Run under TSan, this also proves they write nothing.
+TEST(KAryTreeConcurrency, ConstQueriesFromManyThreads) {
+  const int n = 3000;
+  KArySplayNet net = KArySplayNet::balanced(3, n);
+  std::mt19937_64 rng(11);
+  std::uniform_int_distribution<NodeId> pick(1, n);
+  for (int i = 0; i < 5000; ++i) {
+    const NodeId u = pick(rng), v = pick(rng);
+    if (u != v) net.serve(u, v);
+  }
+  std::vector<std::pair<NodeId, NodeId>> pairs(4000);
+  for (auto& [u, v] : pairs) {
+    u = pick(rng);
+    v = pick(rng);
+  }
+  const KAryTree& t = net.tree();
+  // One flat record per pair: lca, distance, lca() again, route length and
+  // the route's middle node.
+  const auto pass = [&] {
+    std::vector<NodeId> out, route;
+    out.reserve(pairs.size() * 5);
+    for (const auto& [u, v] : pairs) {
+      const PathInfo p = t.path_info(u, v);
+      out.push_back(p.lca);
+      out.push_back(p.distance);
+      out.push_back(t.lca(v, u));
+      out.push_back(t.route_into(u, v, route));
+      out.push_back(route[route.size() / 2]);
+    }
+    return out;
+  };
+  const std::vector<NodeId> want = pass();
+  std::vector<std::vector<NodeId>> got(4);
+  std::vector<std::thread> threads;
+  for (auto& g : got) threads.emplace_back([&g, &pass] { g = pass(); });
+  for (std::thread& th : threads) th.join();
+  for (const auto& g : got) EXPECT_EQ(g, want);
 }
 
 }  // namespace
