@@ -2,11 +2,34 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace san {
 namespace {
 
 std::uint64_t pair_key(NodeId u, NodeId v) { return pack_node_pair(u, v); }
+
+WindowPair unpack_pair(std::uint64_t key, double weight) {
+  return {static_cast<NodeId>(key >> 32),
+          static_cast<NodeId>(key & 0xffffffffu), weight};
+}
+
+/// The planner's visit order: hot pairs first, with a full (u, v)
+/// tie-break, so the order — and with it every greedy decision and every
+/// weight sum — is independent of how the window stores its pairs.
+bool hotter(const WindowPair& a, const WindowPair& b) {
+  if (a.weight != b.weight) return a.weight > b.weight;
+  if (a.u != b.u) return a.u < b.u;
+  return a.v < b.v;
+}
+
+/// Index slot of a pair key before probing (murmur3's 64-bit finalizer).
+std::size_t slot_hash(std::uint64_t key) {
+  key ^= key >> 33;
+  key *= 0xff51afd7ed558ccdull;
+  key ^= key >> 33;
+  return static_cast<std::size_t>(key);
+}
 
 }  // namespace
 
@@ -63,7 +86,29 @@ RebalanceState::RebalanceState(RebalanceConfig cfg) : cfg_(cfg) {
     hot_ = std::make_unique<SpaceSaving>(cfg_.sketch_top_k);
     cm_ = std::make_unique<CountMinSketch>(cfg_.sketch_cm_width,
                                            cfg_.sketch_cm_depth);
+  } else {
+    rebuild_index();
   }
+}
+
+std::size_t RebalanceState::find_slot(std::uint64_t key) const {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t slot = slot_hash(key) & mask;
+  while (index_[slot] != 0) {
+    const WindowPair& e = window_[index_[slot] - 1];
+    if (pair_key(e.u, e.v) == key) break;
+    slot = (slot + 1) & mask;
+  }
+  return slot;
+}
+
+void RebalanceState::rebuild_index() {
+  std::size_t slots = std::max<std::size_t>(index_.size(), 16);
+  while (slots < 2 * window_.size()) slots *= 2;
+  index_.assign(slots, 0);
+  for (std::size_t i = 0; i < window_.size(); ++i)
+    index_[find_slot(pair_key(window_[i].u, window_[i].v))] =
+        static_cast<std::uint32_t>(i + 1);
 }
 
 void RebalanceState::observe(const Request& r, const ShardMap& map) {
@@ -73,7 +118,16 @@ void RebalanceState::observe(const Request& r, const ShardMap& map) {
     hot_->observe(key, 1.0);
     cm_->observe(key, 1.0);
   } else {
-    pairs_[key] += 1.0;
+    const std::size_t slot = find_slot(key);
+    if (index_[slot] == 0) {
+      window_.push_back(unpack_pair(key, 1.0));
+      touched_.push_back(1);
+      index_[slot] = static_cast<std::uint32_t>(window_.size());
+      if (2 * window_.size() > index_.size()) rebuild_index();
+    } else {
+      window_[index_[slot] - 1].weight += 1.0;
+      touched_[index_[slot] - 1] = 1;
+    }
   }
   requests_ += 1.0;
   if (map.shard_of(r.src) != map.shard_of(r.dst)) cross_ += 1.0;
@@ -90,36 +144,41 @@ double RebalanceState::pair_weight(NodeId u, NodeId v) const {
     const double est = cm_->estimate(key);
     return est < kWindowFloorWeight ? 0.0 : est;
   }
-  const auto it = pairs_.find(key);
-  return it == pairs_.end() ? 0.0 : it->second;
+  const std::uint32_t at = index_[find_slot(key)];
+  return at == 0 ? 0.0 : window_[at - 1].weight;
 }
 
-std::vector<RebalanceState::PairEntry> RebalanceState::sorted_entries() const {
-  std::vector<PairEntry> entries;
-  if (hot_) {
-    // The space-saving summary IS the window under kSketch: the planner
-    // works off the top-k heavy pairs (already in (count desc, key asc)
-    // order, which matches the exact branch's sort below).
-    const std::vector<SpaceSaving::Entry> tracked = hot_->entries();
-    entries.reserve(tracked.size());
-    for (const SpaceSaving::Entry& e : tracked)
-      entries.push_back({static_cast<NodeId>(e.key >> 32),
-                         static_cast<NodeId>(e.key & 0xffffffffu), e.count});
-    return entries;
-  }
-  entries.reserve(pairs_.size());
-  for (const auto& [key, weight] : pairs_)
-    entries.push_back({static_cast<NodeId>(key >> 32),
-                       static_cast<NodeId>(key & 0xffffffffu), weight});
-  // Hot pairs first; full (u, v) tie-break so the order — and with it every
-  // greedy decision — is independent of hash-map iteration order.
-  std::sort(entries.begin(), entries.end(),
-            [](const PairEntry& a, const PairEntry& b) {
-              if (a.weight != b.weight) return a.weight > b.weight;
-              if (a.u != b.u) return a.u < b.u;
-              return a.v < b.v;
-            });
+std::vector<WindowPair> RebalanceState::sketch_entries() const {
+  // The space-saving summary IS the window under kSketch: the planner
+  // works off the top-k heavy pairs, already in (count desc, key asc)
+  // order, which is the hotter() order.
+  const std::vector<SpaceSaving::Entry> tracked = hot_->entries();
+  std::vector<WindowPair> entries;
+  entries.reserve(tracked.size());
+  for (const SpaceSaving::Entry& e : tracked)
+    entries.push_back(unpack_pair(e.key, e.count));
   return entries;
+}
+
+void RebalanceState::order_window() {
+  // The untouched pairs are still hottest-first (decay() left the whole
+  // window so, and observe() only raised the touched ones or appended new
+  // ones): sort the touched pairs alone and merge the two runs.
+  std::vector<WindowPair> raised;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < window_.size(); ++i) {
+    if (touched_[i] != 0)
+      raised.push_back(window_[i]);
+    else
+      window_[kept++] = window_[i];
+  }
+  std::sort(raised.begin(), raised.end(), hotter);
+  window_.resize(kept);
+  window_.insert(window_.end(), raised.begin(), raised.end());
+  std::inplace_merge(window_.begin(),
+                     window_.begin() + static_cast<std::ptrdiff_t>(kept),
+                     window_.end(), hotter);
+  std::fill(touched_.begin(), touched_.end(), 0);
 }
 
 void RebalanceState::decay() {
@@ -131,21 +190,32 @@ void RebalanceState::decay() {
     cm_->scale(cfg_.window_decay);
     return;
   }
-  for (auto& [key, weight] : pairs_) weight *= cfg_.window_decay;
+  for (WindowPair& e : window_) e.weight *= cfg_.window_decay;
+  // Scaling is monotone, so it keeps the hottest-first order except where
+  // rounding makes two weights equal (never at a power-of-two decay); one
+  // insertion pass restores the (u, v) tie-break there.
+  for (std::size_t i = 1; i < window_.size(); ++i)
+    for (std::size_t j = i; j > 0 && hotter(window_[j], window_[j - 1]); --j)
+      std::swap(window_[j], window_[j - 1]);
   // Prune aged-out pairs: only weights that have decayed to noise
   // (kWindowFloorWeight) are dropped unconditionally. The cut must NOT
   // start at 1.0 — that would evict every pair not re-observed in the
   // current epoch after a single decay, collapsing the "exponentially aged
   // sliding window" to depth 1 for cold pairs even with the table nearly
-  // empty. Only when the table exceeds its capacity does the cut rise
-  // (deterministic doubling; value predicate — no dependence on iteration
-  // order) until it fits, evicting lightest-first as documented.
+  // empty. Only when the table exceeds its capacity does the cut rise,
+  // doubling from the floor until the table fits: it stops at the first
+  // power of two (the floor is one) above the heaviest pair that does not
+  // fit, evicting lightest-first. Either way the kept pairs are a prefix.
   double cut = kWindowFloorWeight;
-  while (true) {
-    std::erase_if(pairs_, [cut](const auto& kv) { return kv.second < cut; });
-    if (pairs_.size() <= cfg_.window_capacity) break;
-    cut *= 2.0;
-  }
+  if (window_.size() > cfg_.window_capacity &&
+      window_[cfg_.window_capacity].weight >= cut)
+    cut = std::ldexp(1.0, std::ilogb(window_[cfg_.window_capacity].weight) + 1);
+  window_.erase(std::partition_point(
+                    window_.begin(), window_.end(),
+                    [cut](const WindowPair& e) { return e.weight >= cut; }),
+                window_.end());
+  touched_.resize(window_.size());
+  rebuild_index();
 }
 
 RebalancePlan RebalanceState::epoch(const ShardMap& map,
@@ -154,12 +224,17 @@ RebalancePlan RebalanceState::epoch(const ShardMap& map,
   plan.cross_fraction =
       requests_ == 0.0 ? 0.0 : cross_ / requests_;
 
-  const std::vector<PairEntry> entries = sorted_entries();
+  std::vector<WindowPair> tracked;
+  if (hot_)
+    tracked = sketch_entries();
+  else
+    order_window();
+  const std::vector<WindowPair>& entries = hot_ ? tracked : window_;
 
   // Window load per shard (each endpoint touch counts its weight), shared
   // by the imbalance trigger and the watermark policy.
   std::vector<double> touches(static_cast<std::size_t>(map.shards()), 0.0);
-  for (const PairEntry& e : entries) {
+  for (const WindowPair& e : entries) {
     touches[static_cast<std::size_t>(map.shard_of(e.u))] += e.weight;
     const int sv = map.shard_of(e.v);
     if (sv != map.shard_of(e.u))
@@ -238,7 +313,7 @@ RebalancePlan RebalanceState::epoch(const ShardMap& map,
 }
 
 void RebalanceState::plan_lifecycle(const ShardMap& map,
-                                    const std::vector<PairEntry>& entries,
+                                    const std::vector<WindowPair>& entries,
                                     const std::vector<double>& touches,
                                     RebalancePlan& plan) const {
   // Per-shard window load over node-owning shards, plus the two coldest
@@ -272,7 +347,7 @@ void RebalanceState::plan_lifecycle(const ShardMap& map,
   // replicas before applying any split/merge of the same barrier.
   if (cfg_.replicas > 0) {
     std::vector<double> intra_w(static_cast<std::size_t>(map.shards()), 0.0);
-    for (const PairEntry& e : entries) {
+    for (const WindowPair& e : entries) {
       const int su = map.shard_of(e.u);
       if (su == map.shard_of(e.v)) intra_w[static_cast<std::size_t>(su)] += e.weight;
     }
@@ -323,25 +398,38 @@ void RebalanceState::plan_lifecycle(const ShardMap& map,
 
 namespace {
 
-/// Per-node window adjacency, built once per planning pass from the sorted
-/// entry list (so its per-node partner order is deterministic too).
+/// Per-node window adjacency in compressed rows, built once per planning
+/// pass: node x's partners are partners[start[x], start[x + 1]), in entry
+/// order, so every affinity sum adds in the hottest-first order.
 struct Adjacency {
-  std::unordered_map<NodeId, std::vector<std::pair<NodeId, double>>> of;
+  std::vector<std::uint32_t> start;
+  std::vector<std::pair<NodeId, double>> partners;
 
-  void add(NodeId a, NodeId b, double w) {
-    of[a].push_back({b, w});
-    of[b].push_back({a, w});
+  Adjacency(const std::vector<WindowPair>& entries, int n)
+      : start(static_cast<std::size_t>(n) + 2, 0),
+        partners(2 * entries.size()) {
+    for (const WindowPair& e : entries) {
+      ++start[static_cast<std::size_t>(e.u) + 1];
+      ++start[static_cast<std::size_t>(e.v) + 1];
+    }
+    for (std::size_t x = 1; x < start.size(); ++x) start[x] += start[x - 1];
+    std::vector<std::uint32_t> next(start.begin(), start.end() - 1);
+    for (const WindowPair& e : entries) {
+      partners[next[static_cast<std::size_t>(e.u)]++] = {e.v, e.weight};
+      partners[next[static_cast<std::size_t>(e.v)]++] = {e.u, e.weight};
+    }
   }
 };
 
 /// Window weight node `x` sends to shard `t` under assignment `shard_of`.
 double affinity(const Adjacency& adj, const std::vector<int>& shard_of,
                 NodeId x, int t) {
-  const auto it = adj.of.find(x);
-  if (it == adj.of.end()) return 0.0;
   double sum = 0.0;
-  for (const auto& [partner, w] : it->second)
+  for (std::uint32_t i = adj.start[static_cast<std::size_t>(x)];
+       i < adj.start[static_cast<std::size_t>(x) + 1]; ++i) {
+    const auto& [partner, w] = adj.partners[i];
     if (shard_of[static_cast<std::size_t>(partner)] == t) sum += w;
+  }
   return sum;
 }
 
@@ -379,10 +467,9 @@ int shard_capacity(const ShardMap& map, double factor) {
 
 void RebalanceState::plan_hot_pairs(const ShardMap& map,
                                     const RebalanceCostHints& hints,
-                                    const std::vector<PairEntry>& entries,
+                                    const std::vector<WindowPair>& entries,
                                     RebalancePlan& plan) const {
-  Adjacency adj;
-  for (const PairEntry& e : entries) adj.add(e.u, e.v, e.weight);
+  const Adjacency adj(entries, map.n());
   const int capacity = shard_capacity(map, cfg_.capacity_factor);
 
   PlanScratch sc(map);
@@ -390,7 +477,7 @@ void RebalanceState::plan_hot_pairs(const ShardMap& map,
   std::vector<int>& owned = sc.owned;
   std::vector<bool>& moved = sc.moved;
 
-  for (const PairEntry& e : entries) {
+  for (const WindowPair& e : entries) {
     if (static_cast<int>(plan.migrations.size()) >= cfg_.max_migrations) break;
     const int su = shard_of[static_cast<std::size_t>(e.u)];
     const int sv = shard_of[static_cast<std::size_t>(e.v)];
@@ -429,11 +516,10 @@ void RebalanceState::plan_hot_pairs(const ShardMap& map,
 
 void RebalanceState::plan_watermark(const ShardMap& map,
                                     const RebalanceCostHints& hints,
-                                    const std::vector<PairEntry>& entries,
+                                    const std::vector<WindowPair>& entries,
                                     const std::vector<double>& touches,
                                     RebalancePlan& plan) const {
-  Adjacency adj;
-  for (const PairEntry& e : entries) adj.add(e.u, e.v, e.weight);
+  const Adjacency adj(entries, map.n());
   // The greedy loop evolves the same per-shard load epoch() already
   // measured (one endpoint touch per pair per shard).
   std::vector<double> load = touches;
@@ -446,10 +532,10 @@ void RebalanceState::plan_watermark(const ShardMap& map,
   // Per-node window weight (the sum over its pairs; its *shed-able* load
   // is smaller — pairs with a partner in the same shard keep touching the
   // shard through the partner after the node leaves).
-  std::unordered_map<NodeId, double> node_load;
-  for (const PairEntry& e : entries) {
-    node_load[e.u] += e.weight;
-    node_load[e.v] += e.weight;
+  std::vector<double> node_load(static_cast<std::size_t>(map.n()) + 1, 0.0);
+  for (const WindowPair& e : entries) {
+    node_load[static_cast<std::size_t>(e.u)] += e.weight;
+    node_load[static_cast<std::size_t>(e.v)] += e.weight;
   }
 
   while (static_cast<int>(plan.migrations.size()) < cfg_.max_migrations) {
@@ -479,8 +565,7 @@ void RebalanceState::plan_watermark(const ShardMap& map,
       const NodeId node = map.global_of(hottest, local);
       if (moved[static_cast<std::size_t>(node)]) continue;
       if (shard_of[static_cast<std::size_t>(node)] != hottest) continue;
-      const auto nl = node_load.find(node);
-      const double w = nl == node_load.end() ? 0.0 : nl->second;
+      const double w = node_load[static_cast<std::size_t>(node)];
       if (w == 0.0) continue;  // moving silent nodes cannot shed load
       const double score =
           2.0 * affinity(adj, shard_of, node, hottest) - w;  // internal - external
@@ -524,8 +609,7 @@ void RebalanceState::plan_watermark(const ShardMap& map,
     // A touch leaves the hot shard only for pairs whose partner is not
     // also there (intra pairs keep anchoring it through the partner), and
     // the target gains one touch for every pair not already ending there.
-    const auto nl = node_load.find(evict);
-    const double w = nl == node_load.end() ? 0.0 : nl->second;
+    const double w = node_load[static_cast<std::size_t>(evict)];
     load[static_cast<std::size_t>(hottest)] -=
         w - affinity(adj, shard_of, evict, hottest);
     load[static_cast<std::size_t>(target)] += w - target_aff;

@@ -24,12 +24,21 @@
 // deterministic function of the observed requests — weights are dyadic
 // rationals (integer counts halved), candidate orders are fully tie-broken
 // — so sequential and concurrent drains plan identical batches.
+//
+// Planning reads the window hottest-first, and every weight sum it forms
+// (per-shard loads, node loads, affinities) adds in that order. The order
+// is part of the result: the sums are not always exact. A pair observed
+// in many epochs carries a long binary tail, so on stationary skew some
+// sums round, and summing the same weights in another order changes plan
+// bits (the Facebook rows of RebalanceGolden.PlanSequenceAtCapacityLocked
+// differ when the per-shard loads are summed in hash-map order). So the
+// window is not re-sorted per epoch but kept in that order (see
+// RebalanceState).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "stats/sketch.hpp"
@@ -76,8 +85,9 @@ enum class RebalanceTrigger {
 
 /// How the window's pair-demand histogram is stored.
 enum class DemandTracker {
-  kExact,   ///< hash map, one entry per distinct pair (state grows with the
-            ///< observed pair universe up to window_capacity)
+  kExact,   ///< flat array, one entry per distinct pair, plus an
+            ///< open-addressing index (state grows with the observed pair
+            ///< universe up to window_capacity)
   kSketch,  ///< SpaceSaving top-k + CountMin estimates (stats/sketch.hpp):
             ///< state fixed by sketch_top_k / sketch_cm_width, independent
             ///< of n and m — the n >= 10^6 streaming configuration
@@ -206,6 +216,22 @@ struct RebalancePlan {
   }
 };
 
+/// One window pair and its decayed request count, as the planner sees it.
+struct WindowPair {
+  NodeId u = kNoNode;  ///< u < v (unordered pair)
+  NodeId v = kNoNode;
+  double weight = 0.0;
+};
+
+/// The exact window (DemandTracker::kExact) is a flat array of WindowPairs
+/// with an open-addressing index, so observe() and pair_weight() are one
+/// probe each. After each epoch the array is hottest-first — (weight desc,
+/// u, v) — and it stays so apart from the pairs observe() touches: decay
+/// scales every weight by one factor (rounding can only create ties, which
+/// an insertion pass orders), and the capacity cut drops a suffix. epoch()
+/// sorts just the touched pairs and merges them back, so planning costs
+/// linear passes over the window plus a sort of one epoch's distinct
+/// pairs, never a sort of the whole window.
 class RebalanceState {
  public:
   explicit RebalanceState(RebalanceConfig cfg);
@@ -227,34 +253,39 @@ class RebalanceState {
   double pair_weight(NodeId u, NodeId v) const;
 
  private:
-  struct PairEntry {
-    NodeId u = kNoNode;  ///< u < v (unordered pair)
-    NodeId v = kNoNode;
-    double weight = 0.0;
-  };
-
   void plan_hot_pairs(const ShardMap& map, const RebalanceCostHints& hints,
-                      const std::vector<PairEntry>& entries,
+                      const std::vector<WindowPair>& entries,
                       RebalancePlan& plan) const;
   /// `touches` is the per-shard window load epoch() measured (one endpoint
   /// touch per pair per shard), reused as the evolving load model.
   void plan_watermark(const ShardMap& map, const RebalanceCostHints& hints,
-                      const std::vector<PairEntry>& entries,
+                      const std::vector<WindowPair>& entries,
                       const std::vector<double>& touches,
                       RebalancePlan& plan) const;
   /// Split/merge/replicate planning from the same window `touches` load
   /// model; see the lifecycle fields of RebalanceConfig.
   void plan_lifecycle(const ShardMap& map,
-                      const std::vector<PairEntry>& entries,
+                      const std::vector<WindowPair>& entries,
                       const std::vector<double>& touches,
                       RebalancePlan& plan) const;
-  std::vector<PairEntry> sorted_entries() const;
+  std::vector<WindowPair> sketch_entries() const;
+  /// Restores the exact window's hottest-first order (class comment).
+  void order_window();
   void decay();
+  /// Index slot holding `key`, or the empty slot where it would go.
+  std::size_t find_slot(std::uint64_t key) const;
+  void rebuild_index();
 
   RebalanceConfig cfg_;
-  /// kExact: (min id << 32 | max id) -> exponentially aged request count.
-  std::unordered_map<std::uint64_t, double> pairs_;
-  /// kSketch: fixed-size summaries standing in for pairs_. hot_ feeds the
+  /// kExact: every pair with its exponentially aged request count, in the
+  /// order described in the class comment.
+  std::vector<WindowPair> window_;
+  /// touched_[i] != 0: window_[i] was observed since the last epoch.
+  std::vector<std::uint8_t> touched_;
+  /// Linear-probing index over window_: a power-of-two number of slots at
+  /// load <= 1/2, each holding a window_ position + 1, or 0 when empty.
+  std::vector<std::uint32_t> index_;
+  /// kSketch: fixed-size summaries standing in for window_. hot_ feeds the
   /// planner's entry list; cm_ answers pair_weight() point queries.
   std::unique_ptr<SpaceSaving> hot_;
   std::unique_ptr<CountMinSketch> cm_;

@@ -1,12 +1,18 @@
 // Adaptive shard rebalancing: window/policy/trigger units, migration
 // application on the serving engine, the rebalance-disabled differential
 // against PR 3's static pipeline, sequential-vs-concurrent epoch drains,
-// and a golden static-vs-adaptive cost lock on the drifting workloads.
+// a golden static-vs-adaptive cost lock on the drifting workloads, and a
+// digest lock on whole plan sequences with the window at its capacity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -138,6 +144,64 @@ TEST(Rebalance, CapacityPressureEvictsLightestFirst) {
   EXPECT_DOUBLE_EQ(state.pair_weight(7, 8), 2.0);
   EXPECT_DOUBLE_EQ(state.pair_weight(9, 10), 2.5);
   EXPECT_DOUBLE_EQ(state.pair_weight(11, 12), 3.0);
+}
+
+// The capacity cut, checked against the rule it implements: after each
+// decay, pairs below kWindowFloorWeight go, and while the window still
+// holds more than window_capacity pairs the cut doubles. The model below
+// runs that loop literally over weights spanning many powers of two; the
+// capacities force no doubling, one, and several.
+TEST(Rebalance, CapacityCutMatchesRepeatedDoubling) {
+  const int n = 4096;
+  ShardMap map(n, 2, ShardPartition::kContiguous);
+  std::vector<int> doublings_seen;
+  for (std::size_t capacity : {4096u, 520u, 150u, 3u}) {
+    RebalanceConfig cfg;
+    cfg.policy = RebalancePolicy::kHotPair;
+    cfg.trigger = RebalanceTrigger::kEveryEpoch;
+    cfg.window_decay = 0.5;
+    cfg.window_capacity = capacity;
+    cfg.max_migrations = 0;
+    RebalanceState state(cfg);
+
+    std::map<std::pair<NodeId, NodeId>, double> model;
+    std::vector<std::pair<NodeId, NodeId>> seen;
+    std::mt19937_64 rng(capacity);
+    for (int round = 0; round < 16; ++round) {
+      for (int p = 0; p < 40; ++p) {
+        NodeId u = static_cast<NodeId>(1 + rng() % n);
+        NodeId v = static_cast<NodeId>(1 + rng() % n);
+        if (u == v) continue;
+        if (u > v) std::swap(u, v);
+        const int reps = static_cast<int>((1u << (rng() % 9)) + rng() % 3);
+        for (int i = 0; i < reps; ++i) state.observe({u, v}, map);
+        model[{u, v}] += reps;
+        seen.push_back({u, v});
+      }
+      state.epoch(map, RebalanceCostHints{});
+
+      for (auto& [pair, w] : model) w *= cfg.window_decay;
+      double cut = kWindowFloorWeight;
+      int doublings = 0;
+      while (true) {
+        std::erase_if(model, [cut](const auto& kv) { return kv.second < cut; });
+        if (model.size() <= capacity) break;
+        cut *= 2.0;
+        ++doublings;
+      }
+      doublings_seen.push_back(doublings);
+
+      for (const auto& [u, v] : seen) {
+        const auto it = model.find({u, v});
+        ASSERT_EQ(state.pair_weight(u, v), it == model.end() ? 0.0 : it->second)
+            << "capacity " << capacity << " round " << round << " pair (" << u
+            << ", " << v << ")";
+      }
+    }
+  }
+  EXPECT_EQ(*std::min_element(doublings_seen.begin(), doublings_seen.end()), 0);
+  EXPECT_NE(std::count(doublings_seen.begin(), doublings_seen.end(), 1), 0);
+  EXPECT_GE(*std::max_element(doublings_seen.begin(), doublings_seen.end()), 3);
 }
 
 TEST(Rebalance, SketchWindowObservesAndAgesLikeTheExactOne) {
@@ -581,6 +645,118 @@ TEST(RebalanceGolden, StaticVsAdaptiveTotalsLocked) {
   // its drift period matches the epoch cadence, so plans are stale on
   // arrival; the golden rows above keep that honest number pinned.)
   EXPECT_LT(hotpair_elephants, static_elephants);
+}
+
+// --- plan-sequence golden at window capacity -----------------------------
+//
+// The RebalanceGolden rows above run at n=96, where the window never fills.
+// These runs drive RebalanceState directly over streams that keep the
+// exact window at its capacity (n=2000, window_capacity=2048, an epoch
+// every 1024 requests), apply each plan to a ShardedNetwork the way
+// FleetController::barrier does, and lock an FNV-1a digest of the whole
+// plan sequence: migrations, split/merge, the replica set, and the bit
+// patterns of est_gain, drift, load_imbalance and cross_fraction.
+// Regenerate (after an intentional semantic change only!) with
+//   SAN_PRINT_GOLDENS=1 ./build/test_rebalance
+
+struct PlanSequenceGolden {
+  WorkloadKind workload;
+  RebalancePolicy policy;
+  RebalanceTrigger trigger;
+  DemandTracker tracker;
+  std::uint64_t digest;
+};
+
+const PlanSequenceGolden kPlanSequenceGoldens[] = {
+    {WorkloadKind::kRotatingHot, RebalancePolicy::kHotPair,
+     RebalanceTrigger::kDrift, DemandTracker::kExact, 0x8785d07424726972ull},
+    {WorkloadKind::kRotatingHot, RebalancePolicy::kWatermark,
+     RebalanceTrigger::kEveryEpoch, DemandTracker::kExact, 0x700051bd4ff55885ull},
+    {WorkloadKind::kFacebook, RebalancePolicy::kHotPair,
+     RebalanceTrigger::kEveryEpoch, DemandTracker::kExact, 0xd73f4e7b35994f8dull},
+    {WorkloadKind::kFacebook, RebalancePolicy::kWatermark,
+     RebalanceTrigger::kDrift, DemandTracker::kExact, 0xd83123f9eb7da30dull},
+    {WorkloadKind::kRotatingHot, RebalancePolicy::kHotPair,
+     RebalanceTrigger::kEveryEpoch, DemandTracker::kSketch, 0x4b702114a8407d70ull},
+};
+
+std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t x) {
+  for (int byte = 0; byte < 8; ++byte) {
+    h ^= (x >> (8 * byte)) & 0xffu;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+std::uint64_t plan_sequence_digest(const PlanSequenceGolden& run) {
+  const int n = 2000;
+  RebalanceConfig cfg;
+  cfg.policy = run.policy;
+  cfg.trigger = run.trigger;
+  cfg.tracker = run.tracker;
+  cfg.epoch_requests = 1024;
+  cfg.window_capacity = 2048;
+  cfg.sketch_top_k = 1024;
+  cfg.sketch_cm_width = 1 << 12;
+  cfg.replicas = 2;
+  cfg.split_watermark = 1.5;
+  cfg.merge_watermark = 0.5;
+  cfg.max_shards = 8;
+  RebalanceState state(cfg);
+  ShardedNetwork net = ShardedNetwork::balanced(3, n, 4, ShardPartition::kHash);
+  const Trace trace = gen_workload(run.workload, n, 96 * 1024, 0x5EED);
+  // A power-of-two cross penalty keeps every price product exact, so the
+  // bits do not depend on whether the compiler fuses multiply-adds (FMA
+  // under -march=native).
+  const RebalanceCostHints hints{.cross_penalty = 4.0, .migration_cost = 8.0};
+
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  std::size_t in_epoch = 0;
+  for (const Request& r : trace.requests) {
+    state.observe(r, net.map());
+    if (++in_epoch < cfg.epoch_requests) continue;
+    in_epoch = 0;
+    const RebalancePlan plan = state.epoch(net.map(), hints);
+    h = fnv_mix(h, plan.triggered ? 1u : 0u);
+    h = fnv_mix(h, plan.migrations.size());
+    for (const Migration& m : plan.migrations) {
+      h = fnv_mix(h, static_cast<std::uint64_t>(m.node));
+      h = fnv_mix(h, static_cast<std::uint64_t>(m.to_shard));
+    }
+    h = fnv_mix(h, std::bit_cast<std::uint64_t>(plan.est_gain));
+    h = fnv_mix(h, std::bit_cast<std::uint64_t>(plan.drift));
+    h = fnv_mix(h, std::bit_cast<std::uint64_t>(plan.load_imbalance));
+    h = fnv_mix(h, std::bit_cast<std::uint64_t>(plan.cross_fraction));
+    h = fnv_mix(h, static_cast<std::uint64_t>(plan.split_shard));
+    h = fnv_mix(h, static_cast<std::uint64_t>(plan.merge_into));
+    h = fnv_mix(h, static_cast<std::uint64_t>(plan.merge_from));
+    h = fnv_mix(h, plan.replicate.size());
+    for (int s : plan.replicate) h = fnv_mix(h, static_cast<std::uint64_t>(s));
+
+    if (plan.triggered && !plan.migrations.empty())
+      net.apply_migrations(plan.migrations);
+    if (plan.split_shard >= 0 && net.map().shard_size(plan.split_shard) >= 2)
+      net.split_shard(plan.split_shard);
+    else if (plan.merge_from >= 0)
+      net.merge_shards(plan.merge_into, plan.merge_from);
+  }
+  return h;
+}
+
+TEST(RebalanceGolden, PlanSequenceAtCapacityLocked) {
+  for (const PlanSequenceGolden& run : kPlanSequenceGoldens) {
+    const std::string what = std::string(workload_name(run.workload)) + " " +
+                             rebalance_policy_name(run.policy) + " " +
+                             rebalance_trigger_name(run.trigger) + " " +
+                             demand_tracker_name(run.tracker);
+    const std::uint64_t digest = plan_sequence_digest(run);
+    if (print_mode())
+      std::printf("    %s: 0x%016llxull\n", what.c_str(),
+                  static_cast<unsigned long long>(digest));
+    else
+      EXPECT_EQ(digest, run.digest) << what;
+  }
+  if (print_mode()) GTEST_SKIP() << "printed plan-sequence digests";
 }
 
 // post_intra_fraction reports the final map's locality in both modes.
