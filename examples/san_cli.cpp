@@ -7,43 +7,52 @@
 //   san_cli --workload elephants --shards 8 --rebalance hotpair --epoch 5000
 //
 // Workloads: uniform temporal025 temporal05 temporal075 temporal09 hpc
-//            projector facebook elephants rotating, or --trace FILE
-//            (san-trace v1).
+//            projector facebook elephants rotating seqscan bitrev, or
+//            --trace FILE (san-trace v1) / --trace-v2 FILE (binary v2).
 // Topologies: ksplay (k-ary SplayNet), semisplay (k-semi-splay only),
 //             centroid ((k+1)-SplayNet), binary (classic SplayNet),
 //             full (static complete k-ary), optimal (static demand-aware
 //             DP over the whole trace — hindsight reference).
-// Sharding: --shards S > 1 partitions the node space into S independent
-// ksplay/semisplay shards under a static top-level tree (--partition
-// contiguous|hash) and reports per-shard locality. --rebalance
-// none|hotpair|watermark turns on adaptive rebalancing epochs over the
-// batched pipeline (--epoch N requests per epoch, drift trigger), with
-// migration counters in the summary.
-// Serving mode: --open-loop feeds the trace through the live frontend
-// (sim/serve_frontend.hpp) at a timed arrival schedule instead of
-// replaying it closed-loop: --arrival poisson|bursty|saturation,
-// --rate R requests/s, --duration T seconds (T > 0 sizes the trace as
-// R*T requests, overriding --requests). Needs ksplay/semisplay; composes
-// with --shards and --rebalance, and reports offered/achieved rate plus
-// sojourn-latency p50/p99/p999/max in microseconds.
-// Output: one summary table (mean / p50 / p99 / max per-request cost,
-// rotation and link-change totals) and optional CSV / dot dumps. The
-// rebalancing path serves through the batched drain, so per-request
-// percentiles are not available there.
+//
+// One pipeline: one request source, two drivers, one report.
+// - Source. The trace is materialized unless --stream is given; then a
+//   generated workload is pulled on demand, or a --trace-v2 file is
+//   mmapped and read in chunks, so memory stays O(chunk) at any m.
+// - Sharded driver. --open-loop, --rebalance, the lifecycle flags
+//   (--split-watermark/--merge-watermark/--replicas), --fault/--chaos-seed
+//   and --stream serve on one ShardedNetwork of --shards S ksplay/semisplay
+//   shards (S = 1 included), pulling from a RequestStream: the batched
+//   pipeline (run_trace_sharded_stream), or under --open-loop the live
+//   frontend (sim/serve_frontend.hpp) at a timed arrival schedule
+//   (--arrival poisson|bursty|saturation, --rate R requests/s, --duration
+//   T seconds sizes the run as R*T requests, overriding --requests).
+// - Plain driver. Everything else replays request by request on any
+//   topology (--shards S > 1 under a static top-level tree included) and
+//   adds per-request cost percentiles; --schedule locality serves through
+//   the batch engines instead, which report totals only.
+// - Report. One metric/value table (--csv for CSV). Every SimResult
+//   counter prints under its field name in one fixed order for every
+//   mode, so any two modes' reports diff row by row; open-loop runs
+//   append rates and sojourn/queue-wait percentiles in microseconds.
+//   Rows that need the materialized trace print "-" under --stream, and
+//   post_intra_fraction there counts dispatch-time intra-shard requests
+//   instead of re-scanning the trace under the final shard map.
 #include <algorithm>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
+#include <utility>
 
-#include "core/splaynet.hpp"
 #include "io/trace_io.hpp"
 #include "io/trace_v2.hpp"
 #include "io/tree_io.hpp"
 #include "sim/any_network.hpp"
+#include "sim/fleet.hpp"
 #include "sim/serve_frontend.hpp"
 #include "sim/simulator.hpp"
 #include "static_trees/full_tree.hpp"
@@ -177,8 +186,8 @@ Cost optimal_cost_for(const Trace& trace, int k) {
          "--open-loop serves through the live frontend at --rate req/s for\n"
          "  --duration seconds (ksplay/semisplay; composes with --shards\n"
          "  and --rebalance; reports sojourn p50/p99/p999 in us)\n"
-         "--optimal-gap adds online-cost / optimal-static-cost rows (exact\n"
-         "  Theorem 2 DP on the trace's demand matrix; n <= 4096)\n"
+         "--optimal-gap adds optimal-static-cost and grand-total / optimal\n"
+         "  rows (exact Theorem 2 DP on the trace's demand matrix; n <= 4096)\n"
          "--trace-v2 reads the binary san-trace v2 format (io/trace_v2.hpp);\n"
          "  --dump-trace-v2 writes it\n"
          "--stream replays without materializing the trace: a generated\n"
@@ -197,26 +206,28 @@ Options parse(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    // Counts parse signed and must fit their field: stoull would silently
+    // wrap "-1" to 2^64 - 1, and a negative --n would mean "default".
+    auto count = [&](auto& field) {
+      using T = std::remove_reference_t<decltype(field)>;
+      const long long v = std::stoll(next());
+      if (v < 0 || !std::in_range<T>(v)) usage(argv[0]);
+      field = static_cast<T>(v);
+    };
     if (arg == "--workload") o.workload = next();
     else if (arg == "--trace") o.trace_path = next();
     else if (arg == "--trace-v2") o.trace_v2_path = next();
     else if (arg == "--stream") o.stream = true;
     else if (arg == "--topology") o.topology = next();
     else if (arg == "--k") o.k = std::stoi(next());
-    else if (arg == "--n") o.n = std::stoi(next());
+    else if (arg == "--n") count(o.n);
     else if (arg == "--shards") o.shards = std::stoi(next());
     else if (arg == "--partition") o.partition = next();
     else if (arg == "--rebalance") o.rebalance = next();
-    else if (arg == "--epoch") {
-      // stoull would silently wrap "-1" to a huge epoch (= rebalancing
-      // off); parse signed and range-check instead.
-      const long long v = std::stoll(next());
-      if (v < 0) usage(argv[0]);
-      o.epoch = static_cast<std::size_t>(v);
-    }
+    else if (arg == "--epoch") count(o.epoch);
     else if (arg == "--split-watermark") o.split_watermark = std::stod(next());
     else if (arg == "--merge-watermark") o.merge_watermark = std::stod(next());
-    else if (arg == "--replicas") o.replicas = std::stoi(next());
+    else if (arg == "--replicas") count(o.replicas);
     else if (arg == "--fault") o.fault = next();
     else if (arg == "--chaos-seed") {
       o.chaos = true;
@@ -229,7 +240,7 @@ Options parse(int argc, char** argv) {
     else if (arg == "--schedule") o.schedule = next();
     else if (arg == "--sched-window") o.sched_window = std::stoi(next());
     else if (arg == "--sched-group") o.sched_group = std::stoi(next());
-    else if (arg == "--requests") o.requests = std::stoull(next());
+    else if (arg == "--requests") count(o.requests);
     else if (arg == "--seed") o.seed = std::stoull(next());
     else if (arg == "--open-loop") o.open_loop = true;
     else if (arg == "--arrival") o.arrival = next();
@@ -303,17 +314,6 @@ RebalancePolicy parse_rebalance(const std::string& name) {
   throw TreeError("unknown rebalance policy: " + name);
 }
 
-RebalanceConfig make_rebalance_config(const Options& o,
-                                      RebalancePolicy policy) {
-  RebalanceConfig cfg;
-  cfg.policy = policy;
-  cfg.epoch_requests = o.epoch;
-  cfg.split_watermark = o.split_watermark;
-  cfg.merge_watermark = o.merge_watermark;
-  cfg.replicas = o.replicas;
-  return cfg;
-}
-
 QueuePolicy parse_queue_policy(const std::string& name) {
   if (name == "block") return QueuePolicy::kBlock;
   if (name == "shed") return QueuePolicy::kShed;
@@ -322,477 +322,351 @@ QueuePolicy parse_queue_policy(const std::string& name) {
                   " (expected block|shed|deadline)");
 }
 
-FaultPlan make_fault_plan(const Options& o, int shards, std::size_t m) {
+// The flags parsed and cross-checked once, for every mode, before any
+// request is generated or served.
+struct Setup {
+  ArrivalKind arrival{};
+  ScheduleConfig sched;
+  ShardPartition partition{};
+  QueuePolicy queue_policy{};
+  RebalanceConfig fleet;  // rebalance + lifecycle epochs
+  bool epochs = false;    // fleet is active
+  bool sharded = false;   // the sharded driver serves this run
+};
+
+Setup validate(Options& o) {
+  Setup s;
+  s.arrival = parse_arrival(o.arrival);
+  s.sched = parse_schedule(o);
+  s.partition = parse_partition(o.partition);
+  s.queue_policy = parse_queue_policy(o.queue_policy);
+  s.fleet.policy = parse_rebalance(o.rebalance);
+  s.fleet.epoch_requests = o.epoch;
+  s.fleet.split_watermark = o.split_watermark;
+  s.fleet.merge_watermark = o.merge_watermark;
+  s.fleet.replicas = o.replicas;
+  s.epochs = s.fleet.policy != RebalancePolicy::kNone ||
+             o.split_watermark > 0.0 || o.merge_watermark > 0.0 ||
+             o.replicas > 0;
+  s.sharded = o.open_loop || o.stream || s.epochs || !o.fault.empty() ||
+              o.chaos;
+
+  static const std::string kTopologies[] = {"ksplay", "semisplay", "centroid",
+                                            "binary", "full",      "optimal"};
+  if (std::ranges::find(kTopologies, o.topology) == std::end(kTopologies))
+    throw TreeError("unknown topology: " + o.topology);
+  if (o.shards < 1) throw TreeError("--shards needs S >= 1");
+  if ((s.sharded || o.shards > 1) && o.topology != "ksplay" &&
+      o.topology != "semisplay")
+    throw TreeError(
+        "--shards, --open-loop, --stream, --rebalance, the lifecycle flags "
+        "and --fault need a ksplay or semisplay topology");
+  if (s.fleet.policy != RebalancePolicy::kNone && o.shards <= 1)
+    throw TreeError("--rebalance needs --shards > 1");
+  if (s.epochs && o.epoch == 0)
+    throw TreeError("--rebalance and the lifecycle flags need --epoch > 0");
   if (o.chaos && !o.fault.empty())
     throw TreeError("--fault and --chaos-seed are mutually exclusive");
-  FaultPlan plan;
-  if (o.chaos)
-    plan = gen_chaos_plan(o.chaos_seed, shards, m);
-  else if (!o.fault.empty())
-    plan = parse_fault_plan(o.fault);
-  plan.recovery_slo_ms = o.recovery_slo;
-  return plan;
-}
-
-void add_lifecycle_rows(Table& out, const SimResult& res) {
-  out.add_row({"shard splits", std::to_string(res.shard_splits)});
-  out.add_row({"shard merges", std::to_string(res.shard_merges)});
-  out.add_row({"lifecycle cost", std::to_string(res.lifecycle_cost)});
-  out.add_row({"final shards", std::to_string(res.final_shards)});
-  out.add_row({"replica reads", std::to_string(res.replica_reads)});
-}
-
-void add_fault_rows(Table& out, const SimResult& res, const FaultPlan& plan) {
-  out.add_row({"faults injected", std::to_string(res.faults_injected)});
-  out.add_row({"worker kills", std::to_string(res.worker_kills)});
-  out.add_row(
-      {"queue pressure events", std::to_string(res.queue_pressure_events)});
-  out.add_row({"replica promotions", std::to_string(res.replica_promotions)});
-  out.add_row(
-      {"recovery replayed ops", std::to_string(res.recovery_replayed)});
-  out.add_row({"recovery cost", std::to_string(res.recovery_cost)});
-  out.add_row({"recovery max (ms)", fixed_cell(res.recovery_max_ms)});
-  if (plan.recovery_slo_ms > 0.0)
-    out.add_row({"recovery SLO (" + fixed_cell(plan.recovery_slo_ms) + " ms)",
-                 res.recovery_max_ms <= plan.recovery_slo_ms
-                     ? std::string("met")
-                     : std::string("MISSED")});
-}
-
-void add_overload_rows(Table& out, const FrontendResult& r,
-                       QueuePolicy policy) {
-  out.add_row({"queue policy", queue_policy_name(policy)});
-  out.add_row(
-      {"queue full blocks", std::to_string(r.sim.queue_full_blocks)});
-  if (r.sim.shed_requests > 0) {
-    out.add_row({"shed requests", std::to_string(r.sim.shed_requests)});
-    out.add_row({"  at full queue", std::to_string(r.sim.shed_queue_full)});
-    out.add_row({"  throttled", std::to_string(r.sim.shed_throttled)});
-    out.add_row(
-        {"  deadline expired", std::to_string(r.sim.deadline_expired)});
-    out.add_row({"  cross-shard legs", std::to_string(r.sim.cross_shed)});
-    out.add_row({"breaker trips", std::to_string(r.sim.breaker_trips)});
-    out.add_row({"shed age p99 (us)",
-                 fixed_cell(static_cast<double>(r.shed.p99()) / 1e3)});
+  if (!o.trace_path.empty() && !o.trace_v2_path.empty())
+    throw TreeError("--trace and --trace-v2 are mutually exclusive");
+  if (!o.open_loop &&
+      (o.queue_policy != "block" || o.deadline_ms > 0.0 || o.admit_rate > 0.0))
+    throw TreeError(
+        "--queue-policy/--deadline-ms/--admit-rate need --open-loop");
+  if (o.open_loop && o.duration > 0.0) {
+    if (s.arrival == ArrivalKind::kSaturation)
+      throw TreeError("--duration needs --arrival poisson|bursty");
+    if (o.rate <= 0.0) throw TreeError("--open-loop needs --rate > 0");
+    const double m = o.rate * o.duration;
+    if (!(m >= 1.0)) throw TreeError("--rate * --duration rounds to 0");
+    if (m >= static_cast<double>(std::numeric_limits<std::size_t>::max()))
+      throw TreeError("--rate * --duration is too large");
+    o.requests = static_cast<std::size_t>(m);
   }
-  if (r.route_epochs > 0)
-    out.add_row({"route epochs", std::to_string(r.route_epochs)});
+  if (o.stream) {
+    if (!o.trace_path.empty())
+      throw TreeError("--stream needs a generated workload or --trace-v2");
+    if (!o.dump_tree.empty() || !o.dump_trace.empty() ||
+        !o.dump_trace_v2.empty() || o.optimal_gap)
+      throw TreeError(
+          "--stream does not compose with dumps or --optimal-gap (they "
+          "need the materialized trace)");
+  }
+  // binary SplayNet has its own representation; sharded runs have S trees.
+  if (!o.dump_tree.empty() &&
+      (s.sharded || o.shards > 1 || o.topology == "binary"))
+    throw TreeError("--dump-tree is not supported for this topology");
+  return s;
+}
+
+SplayMode splay_mode(const Options& o) {
+  return o.topology == "semisplay" ? SplayMode::kSemiSplayOnly
+                                   : SplayMode::kFullSplay;
 }
 
 // `opt_cost` receives the DP value when this factory already computed it
 // (the "optimal" topology), so --optimal-gap does not re-run the O(n^3 k)
 // forward pass a second time just to print the ratio 1.000.
-AnyNetwork make_network(const Options& o, const Trace& trace,
-                        std::optional<Cost>& opt_cost) {
+AnyNetwork make_network(const Options& o, ShardPartition partition,
+                        const Trace& trace, std::optional<Cost>& opt_cost) {
   const int n = trace.n;
-  const SplayMode mode = o.topology == "semisplay"
-                             ? SplayMode::kSemiSplayOnly
-                             : SplayMode::kFullSplay;
-  if (o.shards != 1) {
-    if (o.topology != "ksplay" && o.topology != "semisplay")
-      throw TreeError("--shards requires a ksplay or semisplay topology");
-    return ShardedNetwork::balanced(o.k, n, o.shards,
-                                    parse_partition(o.partition),
-                                    RotationPolicy{}, mode);
-  }
+  if (o.shards > 1)
+    return ShardedNetwork::balanced(o.k, n, o.shards, partition,
+                                    RotationPolicy{}, splay_mode(o));
   if (o.topology == "ksplay" || o.topology == "semisplay")
     return KArySplayNetwork(
-        KArySplayNet::balanced(o.k, n, RotationPolicy{}, mode));
+        KArySplayNet::balanced(o.k, n, RotationPolicy{}, splay_mode(o)));
   if (o.topology == "centroid")
     return CentroidSplayNetwork(CentroidSplayNet(o.k, n));
   if (o.topology == "binary") return BinarySplayNetwork(n);
   if (o.topology == "full")
     return StaticTreeNetwork(full_kary_tree(o.k, n), "full tree");
-  if (o.topology == "optimal") {
-    DemandMatrix d = DemandMatrix::from_trace(trace);
-    OptimalTreeResult r = optimal_routing_based_tree(o.k, d, 0);
-    opt_cost = r.total_distance;
-    return StaticTreeNetwork(std::move(r.tree), "optimal static tree");
-  }
-  throw TreeError("unknown topology: " + o.topology);
+  // "optimal": validate() admits no other topology name.
+  DemandMatrix d = DemandMatrix::from_trace(trace);
+  OptimalTreeResult r = optimal_routing_based_tree(o.k, d, 0);
+  opt_cost = r.total_distance;
+  return StaticTreeNetwork(std::move(r.tree), "optimal static tree");
 }
 
-const KAryTree* tree_of(AnyNetwork& net) {
-  if (auto* s = net.get_if<KArySplayNetwork>()) return &s->net().tree();
-  if (auto* c = net.get_if<CentroidSplayNetwork>()) return &c->net().tree();
-  if (auto* t = net.get_if<StaticTreeNetwork>()) return &t->tree();
-  // binary SplayNet has its own representation; sharded has S trees
-  return nullptr;
+// The final topology --dump-tree writes; validate() admits only the
+// single-tree topologies here.
+const KAryTree& tree_of(AnyNetwork& net) {
+  if (auto* s = net.get_if<KArySplayNetwork>()) return s->net().tree();
+  if (auto* c = net.get_if<CentroidSplayNetwork>()) return c->net().tree();
+  return net.get_if<StaticTreeNetwork>()->tree();
+}
+
+// Every SimResult counter under its field name, in declaration order, then
+// the derived totals: the one report every mode prints.
+void add_counter_rows(Table& out, const SimResult& r) {
+  const auto row = [&out](const char* name, auto value) {
+    if constexpr (std::is_floating_point_v<decltype(value)>)
+      out.add_row({name, fixed_cell(value)});
+    else
+      out.add_row({name, std::to_string(value)});
+  };
+  row("routing_cost", r.routing_cost);
+  row("rotation_count", r.rotation_count);
+  row("edge_changes", r.edge_changes);
+  row("cross_shard", r.cross_shard);
+  row("requests", r.requests);
+  row("rebalance_epochs", r.rebalance_epochs);
+  row("migrations", r.migrations);
+  row("migration_cost", r.migration_cost);
+  row("post_intra_fraction", r.post_intra_fraction);
+  row("shard_splits", r.shard_splits);
+  row("shard_merges", r.shard_merges);
+  row("lifecycle_cost", r.lifecycle_cost);
+  row("replica_reads", r.replica_reads);
+  row("final_shards", r.final_shards);
+  row("faults_injected", r.faults_injected);
+  row("replica_promotions", r.replica_promotions);
+  row("recovery_replayed", r.recovery_replayed);
+  row("recovery_cost", r.recovery_cost);
+  row("recovery_total_ms", r.recovery_total_ms);
+  row("recovery_max_ms", r.recovery_max_ms);
+  row("worker_kills", r.worker_kills);
+  row("queue_pressure_events", r.queue_pressure_events);
+  row("shed_requests", r.shed_requests);
+  row("shed_queue_full", r.shed_queue_full);
+  row("shed_throttled", r.shed_throttled);
+  row("deadline_expired", r.deadline_expired);
+  row("cross_shed", r.cross_shed);
+  row("queue_full_blocks", r.queue_full_blocks);
+  row("breaker_trips", r.breaker_trips);
+  out.add_row({"schedule", schedule_policy_name(r.schedule)});
+  row("reordered_requests", r.reordered_requests);
+  row("total_cost", r.total_cost());
+  row("grand_total_cost", r.grand_total_cost());
+  row("avg_request_cost", r.avg_request_cost());
+}
+
+// What the open-loop frontend measures beyond SimResult; latencies in us.
+void add_frontend_rows(Table& out, const FrontendResult& r) {
+  const auto us = [](std::uint64_t ns) {
+    return fixed_cell(static_cast<double>(ns) / 1e3);
+  };
+  out.add_row({"offered_rate", fixed_cell(r.offered_rate)});
+  out.add_row({"achieved_rate", fixed_cell(r.achieved_rate)});
+  out.add_row({"elapsed_seconds", fixed_cell(r.elapsed_seconds)});
+  out.add_row({"sojourn_p50_us", us(r.sojourn.p50())});
+  out.add_row({"sojourn_p99_us", us(r.sojourn.p99())});
+  out.add_row({"sojourn_p999_us", us(r.sojourn.p999())});
+  out.add_row({"sojourn_max_us", us(r.sojourn.max())});
+  out.add_row({"queue_wait_p99_us", us(r.queue_wait.p99())});
+  out.add_row({"handovers", std::to_string(r.handovers)});
+  out.add_row({"forwards", std::to_string(r.forwards)});
+  out.add_row({"route_epochs", std::to_string(r.route_epochs)});
+  out.add_row({"shed_p99_us", us(r.shed.p99())});
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options o;
   try {
-    o = parse(argc, argv);
-    const ArrivalKind arrival = parse_arrival(o.arrival);
-    const ScheduleConfig sched = parse_schedule(o);
-    if (o.open_loop && o.duration > 0.0) {
-      if (arrival == ArrivalKind::kSaturation)
-        throw TreeError("--duration needs --arrival poisson|bursty");
-      if (o.rate <= 0.0) throw TreeError("--open-loop needs --rate > 0");
-      o.requests = static_cast<std::size_t>(o.rate * o.duration);
-      if (o.requests == 0) throw TreeError("--rate * --duration rounds to 0");
-    }
-    if (!o.trace_path.empty() && !o.trace_v2_path.empty())
-      throw TreeError("--trace and --trace-v2 are mutually exclusive");
-    if (!o.open_loop &&
-        (o.queue_policy != "block" || o.deadline_ms > 0.0 || o.admit_rate > 0.0))
-      throw TreeError(
-          "--queue-policy/--deadline-ms/--admit-rate need --open-loop");
+    Options o = parse(argc, argv);
+    const Setup s = validate(o);
 
-    if (o.stream) {
-      // Single-pass replay: requests are pulled on demand, never
-      // materialized, so the resident set is O(chunk) at any m.
-      if (!o.trace_path.empty())
-        throw TreeError("--stream needs a generated workload or --trace-v2");
-      if (!o.dump_tree.empty() || !o.dump_trace.empty() ||
-          !o.dump_trace_v2.empty() || o.optimal_gap)
-        throw TreeError(
-            "--stream does not compose with dumps or --optimal-gap (they "
-            "need the materialized trace)");
-      if (o.topology != "ksplay" && o.topology != "semisplay")
-        throw TreeError("--stream requires a ksplay or semisplay topology");
-      const RebalancePolicy rebalance = parse_rebalance(o.rebalance);
-      if (rebalance != RebalancePolicy::kNone && o.shards <= 1)
-        throw TreeError("--rebalance needs --shards > 1");
-      if (rebalance != RebalancePolicy::kNone && o.epoch == 0)
-        throw TreeError("--rebalance needs --epoch > 0");
-
-      std::unique_ptr<RequestStream> stream;
+    // ---- source: a materialized trace unless --stream; the sharded
+    // driver always pulls from a stream.
+    std::optional<Trace> trace;
+    std::unique_ptr<RequestStream> stream;
+    if (!o.stream) {
       if (!o.trace_v2_path.empty())
-        stream = std::make_unique<TraceV2Reader>(
-            o.trace_v2_path, TraceV2Reader::Backend::kMmap);
+        trace = read_trace_v2_file(o.trace_v2_path);
+      else if (!o.trace_path.empty())
+        trace = read_trace_file(o.trace_path);
       else
-        stream = std::make_unique<StreamingWorkload>(
-            parse_workload(o.workload), o.n, o.requests, o.seed);
+        trace = gen_workload(parse_workload(o.workload), o.n, o.requests,
+                             o.seed);
+      if (!o.dump_trace.empty()) write_trace_file(o.dump_trace, *trace);
+      if (!o.dump_trace_v2.empty())
+        write_trace_v2_file(o.dump_trace_v2, *trace);
+      if (s.sharded) stream = std::make_unique<TraceStream>(*trace);
+    } else if (!o.trace_v2_path.empty()) {
+      stream = std::make_unique<TraceV2Reader>(o.trace_v2_path,
+                                               TraceV2Reader::Backend::kMmap);
+    } else {
+      stream = std::make_unique<StreamingWorkload>(
+          parse_workload(o.workload), o.n, o.requests, o.seed);
+    }
+    const int n = trace ? trace->n : stream->n();
+    const bool sharded_net = s.sharded || o.shards > 1;
+    FaultPlan faults;
+    if (o.chaos)
+      faults = gen_chaos_plan(o.chaos_seed, o.shards,
+                              trace ? trace->size() : stream->size());
+    else if (!o.fault.empty())
+      faults = parse_fault_plan(o.fault);
+    faults.recovery_slo_ms = o.recovery_slo;
 
-      const SplayMode mode = o.topology == "semisplay"
-                                 ? SplayMode::kSemiSplayOnly
-                                 : SplayMode::kFullSplay;
-      ShardedNetwork net = ShardedNetwork::balanced(
-          o.k, static_cast<int>(stream->n()), std::max(1, o.shards),
-          parse_partition(o.partition), RotationPolicy{}, mode);
-      const RebalanceConfig cfg = make_rebalance_config(o, rebalance);
-      const FaultPlan faults =
-          make_fault_plan(o, std::max(1, o.shards), stream->size());
-
-      Table out({"metric", "value"});
-      out.add_row({"network", net.name() + (o.open_loop
-                                                ? " (streaming, open-loop)"
-                                                : " (streaming)")});
-      out.add_row({"nodes", std::to_string(stream->n())});
+    // ---- drivers: each leaves the network's name, its SimResult and, on a
+    // sharded network with a materialized trace, the final load imbalance.
+    std::string network;
+    SimResult res;
+    std::optional<FrontendResult> live;
+    std::optional<double> imbalance;
+    CostSeries series;  // per-request costs (plain FIFO replay only)
+    std::optional<Cost> opt_cost;
+    if (s.sharded) {
+      ShardedNetwork net =
+          ShardedNetwork::balanced(o.k, n, o.shards, s.partition,
+                                   RotationPolicy{}, splay_mode(o));
+      network = net.name();
+      if (o.stream || o.open_loop)
+        network += o.stream && o.open_loop ? " (streaming, open-loop)"
+                   : o.stream              ? " (streaming)"
+                                           : " (open-loop)";
+      const RebalanceConfig* fleet = s.epochs ? &s.fleet : nullptr;
+      const FaultPlan* fault_plan = faults.enabled() ? &faults : nullptr;
       if (o.open_loop) {
         FrontendOptions fopt;
-        if (rebalance != RebalancePolicy::kNone || cfg.lifecycle_enabled())
-          fopt.rebalance = &cfg;
-        fopt.schedule = sched;
-        fopt.queue_policy = parse_queue_policy(o.queue_policy);
+        fopt.rebalance = fleet;
+        fopt.faults = fault_plan;
+        fopt.schedule = s.sched;
+        fopt.queue_policy = s.queue_policy;
         fopt.deadline_ms = o.deadline_ms;
         fopt.admit_rate = o.admit_rate;
-        if (faults.enabled()) fopt.faults = &faults;
-        StreamingArrivalSchedule schedule(arrival, o.rate, o.seed);
-        ServeFrontend frontend(net, fopt);
-        const FrontendResult r = frontend.run_stream(*stream, schedule);
-        out.add_row({"requests", std::to_string(r.sim.requests)});
-        if (sched.reorders()) {
-          out.add_row({"schedule", schedule_policy_name(r.sim.schedule)});
-          out.add_row({"reordered requests",
-                       std::to_string(r.sim.reordered_requests)});
-        }
-        out.add_row({"arrival process", arrival_kind_name(arrival)});
-        out.add_row({"offered rate (req/s)", fixed_cell(r.offered_rate)});
-        out.add_row({"achieved rate (req/s)", fixed_cell(r.achieved_rate)});
-        out.add_row({"elapsed (s)", fixed_cell(r.elapsed_seconds)});
-        out.add_row({"sojourn p50 (us)", fixed_cell(r.sim.latency.p50_us)});
-        out.add_row({"sojourn p99 (us)", fixed_cell(r.sim.latency.p99_us)});
-        out.add_row({"sojourn p999 (us)", fixed_cell(r.sim.latency.p999_us)});
-        out.add_row({"sojourn max (us)", fixed_cell(r.sim.latency.max_us)});
-        out.add_row(
-            {"mean cost/request", fixed_cell(r.sim.avg_request_cost())});
-        out.add_row({"total routing", std::to_string(r.sim.routing_cost)});
-        out.add_row({"total rotations", std::to_string(r.sim.rotation_count)});
-        out.add_row(
-            {"cross-shard requests", std::to_string(r.sim.cross_shard)});
-        out.add_row({"handovers", std::to_string(r.handovers)});
-        if (rebalance != RebalancePolicy::kNone) {
-          out.add_row(
-              {"rebalance epochs", std::to_string(r.sim.rebalance_epochs)});
-          out.add_row({"migrations", std::to_string(r.sim.migrations)});
-          out.add_row({"migration cost", std::to_string(r.sim.migration_cost)});
-          out.add_row({"forwards", std::to_string(r.forwards)});
-          out.add_row({"intra-shard fraction (at dispatch)",
-                       fixed_cell(r.sim.post_intra_fraction)});
-        }
-        add_overload_rows(out, r, fopt.queue_policy);
-        if (cfg.lifecycle_enabled()) add_lifecycle_rows(out, r.sim);
-        if (faults.enabled()) add_fault_rows(out, r.sim, faults);
+        StreamingArrivalSchedule arrivals(s.arrival, o.rate, o.seed);
+        live = ServeFrontend(net, fopt).run_stream(*stream, arrivals);
+        res = live->sim;
       } else {
-        ShardedRunOptions ropt;
-        if (rebalance != RebalancePolicy::kNone || cfg.lifecycle_enabled())
-          ropt.rebalance = &cfg;
-        ropt.schedule = sched;
-        if (faults.enabled()) ropt.faults = &faults;
-        const SimResult res = run_trace_sharded_stream(net, *stream, ropt);
-        out.add_row({"requests", std::to_string(res.requests)});
-        if (sched.reorders()) {
-          out.add_row({"schedule", schedule_policy_name(res.schedule)});
-          out.add_row(
-              {"reordered requests", std::to_string(res.reordered_requests)});
-        }
-        out.add_row({"mean cost/request", fixed_cell(res.avg_request_cost())});
-        out.add_row({"total routing", std::to_string(res.routing_cost)});
-        out.add_row({"total rotations", std::to_string(res.rotation_count)});
-        out.add_row({"total link changes", std::to_string(res.edge_changes)});
-        out.add_row({"cross-shard requests", std::to_string(res.cross_shard)});
-        if (rebalance != RebalancePolicy::kNone) {
-          out.add_row(
-              {"rebalance epochs", std::to_string(res.rebalance_epochs)});
-          out.add_row({"migrations", std::to_string(res.migrations)});
-          out.add_row({"migration cost", std::to_string(res.migration_cost)});
-          out.add_row(
-              {"grand total cost", std::to_string(res.grand_total_cost())});
-          out.add_row({"intra-shard fraction (at dispatch)",
-                       fixed_cell(res.post_intra_fraction)});
-        }
-        if (cfg.lifecycle_enabled()) add_lifecycle_rows(out, res);
-        if (faults.enabled()) add_fault_rows(out, res, faults);
+        res = run_trace_sharded_stream(
+            net, *stream,
+            {.rebalance = fleet, .schedule = s.sched, .faults = fault_plan});
       }
-      if (o.csv)
-        std::cout << out.to_csv();
-      else
-        out.print();
-      return 0;
-    }
-
-    Trace trace = !o.trace_v2_path.empty()
-                      ? read_trace_v2_file(o.trace_v2_path)
-                      : (o.trace_path.empty()
-                             ? gen_workload(parse_workload(o.workload), o.n,
-                                            o.requests, o.seed)
-                             : read_trace_file(o.trace_path));
-    if (!o.dump_trace.empty()) write_trace_file(o.dump_trace, trace);
-    if (!o.dump_trace_v2.empty()) write_trace_v2_file(o.dump_trace_v2, trace);
-
-    const TraceStats st = compute_stats(trace);
-    const RebalancePolicy rebalance = parse_rebalance(o.rebalance);
-    if (rebalance != RebalancePolicy::kNone && o.shards <= 1)
-      throw TreeError("--rebalance needs --shards > 1");
-    if (rebalance != RebalancePolicy::kNone && o.epoch == 0)
-      throw TreeError("--rebalance needs --epoch > 0");
-    const RebalanceConfig lifecycle_cfg = make_rebalance_config(o, rebalance);
-    const FaultPlan faults =
-        make_fault_plan(o, std::max(1, o.shards), trace.size());
-    if ((lifecycle_cfg.lifecycle_enabled() || faults.enabled()) &&
-        o.shards <= 1 && !o.open_loop)
-      throw TreeError("--split-watermark/--merge-watermark/--replicas/--fault "
-                      "need --shards > 1 (or --open-loop for --fault)");
-    if (o.open_loop) {
-      // Live serving path: ServeFrontend over a ShardedNetwork (S = 1 is
-      // the single-worker degenerate case with identical costs).
-      if (o.topology != "ksplay" && o.topology != "semisplay")
-        throw TreeError("--open-loop requires a ksplay or semisplay topology");
-      const SplayMode mode = o.topology == "semisplay"
-                                 ? SplayMode::kSemiSplayOnly
-                                 : SplayMode::kFullSplay;
-      ShardedNetwork net = ShardedNetwork::balanced(
-          o.k, trace.n, std::max(1, o.shards), parse_partition(o.partition),
-          RotationPolicy{}, mode);
-      FrontendOptions fopt;
-      if (rebalance != RebalancePolicy::kNone ||
-          lifecycle_cfg.lifecycle_enabled())
-        fopt.rebalance = &lifecycle_cfg;
-      fopt.schedule = sched;
-      fopt.queue_policy = parse_queue_policy(o.queue_policy);
-      fopt.deadline_ms = o.deadline_ms;
-      fopt.admit_rate = o.admit_rate;
-      if (faults.enabled()) fopt.faults = &faults;
-      const auto arrivals = gen_arrival_times(
-          arrival, arrival == ArrivalKind::kSaturation ? 0.0 : o.rate,
-          trace.size(), o.seed);
-      ServeFrontend frontend(net, fopt);
-      const FrontendResult r = frontend.run(trace, arrivals);
-
-      Table out({"metric", "value"});
-      out.add_row({"network", net.name() + " (open-loop)"});
-      out.add_row({"nodes", std::to_string(trace.n)});
-      out.add_row({"requests", std::to_string(trace.size())});
-      if (sched.reorders()) {
-        out.add_row({"schedule", schedule_policy_name(r.sim.schedule)});
-        out.add_row(
-            {"reordered requests", std::to_string(r.sim.reordered_requests)});
+      if (trace) {
+        // Exactly what the Trace& adapters do after their stream engine.
+        rescan_post_intra_fraction(*trace, net.map(), res);
+        imbalance = compute_shard_stats(*trace, net.map()).load_imbalance();
       }
-      out.add_row({"arrival process", arrival_kind_name(arrival)});
-      out.add_row({"offered rate (req/s)", fixed_cell(r.offered_rate)});
-      out.add_row({"achieved rate (req/s)", fixed_cell(r.achieved_rate)});
-      out.add_row({"elapsed (s)", fixed_cell(r.elapsed_seconds)});
-      out.add_row({"sojourn p50 (us)", fixed_cell(r.sim.latency.p50_us)});
-      out.add_row({"sojourn p99 (us)", fixed_cell(r.sim.latency.p99_us)});
-      out.add_row({"sojourn p999 (us)", fixed_cell(r.sim.latency.p999_us)});
-      out.add_row({"sojourn max (us)", fixed_cell(r.sim.latency.max_us)});
-      out.add_row({"queue wait p99 (us)",
-                   fixed_cell(static_cast<double>(r.queue_wait.p99()) / 1e3)});
-      out.add_row({"mean cost/request", fixed_cell(r.sim.avg_request_cost())});
-      out.add_row({"total routing", std::to_string(r.sim.routing_cost)});
-      out.add_row({"total rotations", std::to_string(r.sim.rotation_count)});
-      out.add_row({"cross-shard requests", std::to_string(r.sim.cross_shard)});
-      out.add_row({"handovers", std::to_string(r.handovers)});
-      if (rebalance != RebalancePolicy::kNone ||
-          lifecycle_cfg.lifecycle_enabled()) {
-        out.add_row({"rebalance epochs", std::to_string(r.sim.rebalance_epochs)});
-        out.add_row({"migrations", std::to_string(r.sim.migrations)});
-        out.add_row({"migration cost", std::to_string(r.sim.migration_cost)});
-        out.add_row({"forwards", std::to_string(r.forwards)});
-        out.add_row({"final intra-shard fraction",
-                     fixed_cell(r.sim.post_intra_fraction)});
-      }
-      add_overload_rows(out, r, fopt.queue_policy);
-      if (lifecycle_cfg.lifecycle_enabled()) add_lifecycle_rows(out, r.sim);
-      if (faults.enabled()) add_fault_rows(out, r.sim, faults);
-      if (o.csv)
-        std::cout << out.to_csv();
-      else
-        out.print();
-      return 0;
-    }
-
-    std::optional<Cost> precomputed_opt;
-    AnyNetwork net = make_network(o, trace, precomputed_opt);
-
-    Table out({"metric", "value"});
-    out.add_row({"network", net.name()});
-    out.add_row({"nodes", std::to_string(trace.n)});
-    out.add_row({"requests", std::to_string(trace.size())});
-    out.add_row({"trace repeat fraction", fixed_cell(st.repeat_fraction)});
-
-    if (rebalance != RebalancePolicy::kNone ||
-        lifecycle_cfg.lifecycle_enabled() || faults.enabled()) {
-      // Adaptive path: the batched pipeline with rebalance / lifecycle
-      // epochs and scripted faults. Costs come as totals (no per-request
-      // series through the drains).
-      ShardedNetwork& sharded = *net.get_if<ShardedNetwork>();
-      ShardedRunOptions ropt;
-      if (rebalance != RebalancePolicy::kNone ||
-          lifecycle_cfg.lifecycle_enabled())
-        ropt.rebalance = &lifecycle_cfg;
-      ropt.schedule = sched;
-      if (faults.enabled()) ropt.faults = &faults;
-      const SimResult res = run_trace_sharded(sharded, trace, ropt);
-      out.add_row({"rebalance policy", o.rebalance});
-      out.add_row({"epoch requests", std::to_string(o.epoch)});
-      if (sched.reorders()) {
-        out.add_row({"schedule", schedule_policy_name(res.schedule)});
-        out.add_row(
-            {"reordered requests", std::to_string(res.reordered_requests)});
-      }
-      out.add_row({"mean cost/request", fixed_cell(res.avg_request_cost())});
-      out.add_row({"total routing", std::to_string(res.routing_cost)});
-      out.add_row({"total rotations", std::to_string(res.rotation_count)});
-      out.add_row({"total link changes", std::to_string(res.edge_changes)});
-      out.add_row({"rebalance epochs", std::to_string(res.rebalance_epochs)});
-      out.add_row({"migrations", std::to_string(res.migrations)});
-      out.add_row({"migration cost", std::to_string(res.migration_cost)});
-      out.add_row({"grand total cost", std::to_string(res.grand_total_cost())});
-      out.add_row(
-          {"final intra-shard fraction", fixed_cell(res.post_intra_fraction)});
-      out.add_row({"cross-shard requests", std::to_string(res.cross_shard)});
-      out.add_row({"shard load imbalance",
-                   fixed_cell(compute_shard_stats(trace, sharded.map())
-                                  .load_imbalance())});
-      if (lifecycle_cfg.lifecycle_enabled()) add_lifecycle_rows(out, res);
-      if (faults.enabled()) add_fault_rows(out, res, faults);
-      if (o.optimal_gap) {
-        const Cost opt = optimal_cost_for(trace, o.k);
-        out.add_row({"optimal static cost", std::to_string(opt)});
-        out.add_row(
-            {"optimality gap (grand total / optimal)",
-             opt > 0 ? fixed_cell(
-                           static_cast<double>(res.grand_total_cost()) / opt)
-                     : std::string("-")});
-      }
-      if (o.csv)
-        std::cout << out.to_csv();
-      else
-        out.print();
-      return 0;
-    }
-
-    CostSeries series;
-    Cost routing = 0, rotations = 0, links = 0;
-    if (!sched.reorders()) {
-      // One visit hoists the variant dispatch out of the replay loop.
-      net.visit([&](auto& n) {
-        for (const Request& r : trace.requests) {
-          const ServeResult s = n.serve(r.src, r.dst);
-          series.add(s.routing_cost + s.rotations);
-          routing += s.routing_cost;
-          rotations += s.rotations;
-          links += s.edge_changes;
-        }
-      });
-      out.add_row({"mean cost/request", fixed_cell(series.mean())});
-      out.add_row({"p50 cost", std::to_string(series.percentile(0.50))});
-      out.add_row({"p99 cost", std::to_string(series.percentile(0.99))});
-      out.add_row({"max cost", std::to_string(series.max())});
     } else {
-      // Scheduled replay goes through the batch engines (run_trace /
-      // run_trace_sharded), which report totals: per-request percentiles
-      // are not meaningful once the serve order is permuted.
-      SimResult res;
-      if (auto* sharded = net.get_if<ShardedNetwork>())
-        res = run_trace_sharded(*sharded, trace, {.schedule = sched});
-      else
-        res = run_trace(net, trace, sched);
-      routing = res.routing_cost;
-      rotations = res.rotation_count;
-      links = res.edge_changes;
-      out.add_row({"schedule", schedule_policy_name(res.schedule)});
-      out.add_row(
-          {"reordered requests", std::to_string(res.reordered_requests)});
-      out.add_row({"mean cost/request", fixed_cell(res.avg_request_cost())});
+      AnyNetwork net = make_network(o, s.partition, *trace, opt_cost);
+      network = net.name();
+      ShardedNetwork* sharded = net.get_if<ShardedNetwork>();
+      if (s.sched.reorders()) {
+        // The batch engines report totals: per-request percentiles are not
+        // meaningful once the serve order is permuted.
+        res = sharded ? run_trace_sharded(*sharded, *trace,
+                                          {.schedule = s.sched})
+                      : run_trace(net, *trace, s.sched);
+      } else {
+        // One visit hoists the variant dispatch out of the replay loop.
+        net.visit([&](auto& nw) {
+          for (const Request& r : trace->requests) {
+            const ServeResult sr = nw.serve(r.src, r.dst);
+            series.add(sr.routing_cost + sr.rotations);
+            res.routing_cost += sr.routing_cost;
+            res.rotation_count += sr.rotations;
+            res.edge_changes += sr.edge_changes;
+          }
+        });
+        res.requests = trace->size();
+      }
+      if (sharded) {
+        const ShardLocalityStats ss =
+            compute_shard_stats(*trace, sharded->map());
+        imbalance = ss.load_imbalance();
+        if (!s.sched.reorders()) {  // the replay loop counts serves only
+          res.cross_shard = sharded->cross_shard_served();
+          res.post_intra_fraction = ss.intra_fraction();
+          res.final_shards = sharded->num_shards();
+        }
+      }
+      if (!o.dump_tree.empty())
+        std::ofstream(o.dump_tree) << to_dot(tree_of(net));
     }
-    out.add_row({"total routing", std::to_string(routing)});
-    out.add_row({"total rotations", std::to_string(rotations)});
-    out.add_row({"total link changes", std::to_string(links)});
-    if (const auto* sharded = net.get_if<ShardedNetwork>()) {
-      const ShardLocalityStats ss = compute_shard_stats(trace, sharded->map());
-      out.add_row({"shards", std::to_string(sharded->num_shards()) + " (" +
-                                 o.partition + ")"});
-      out.add_row({"cross-shard requests",
-                   std::to_string(sharded->cross_shard_served())});
-      out.add_row({"intra-shard fraction", fixed_cell(ss.intra_fraction())});
-      out.add_row({"shard load imbalance", fixed_cell(ss.load_imbalance())});
+
+    // ---- report
+    Table out({"metric", "value"});
+    out.add_row({"network", network});
+    out.add_row({"nodes", std::to_string(n)});
+    if (sharded_net)
+      out.add_row(
+          {"shards", std::to_string(o.shards) + " (" + o.partition + ")"});
+    if (s.sharded) {
+      out.add_row({"rebalance", o.rebalance});
+      out.add_row({"epoch", std::to_string(o.epoch)});
+    }
+    if (o.open_loop) {
+      out.add_row({"arrival", arrival_kind_name(s.arrival)});
+      out.add_row({"queue_policy", queue_policy_name(s.queue_policy)});
+    }
+    out.add_row({"trace_repeat_fraction",
+                 trace ? fixed_cell(compute_stats(*trace).repeat_fraction)
+                       : "-"});
+    add_counter_rows(out, res);
+    if (live) add_frontend_rows(out, *live);
+    if (sharded_net)
+      out.add_row({"shard_load_imbalance",
+                   imbalance ? fixed_cell(*imbalance) : "-"});
+    if (series.count() > 0) {
+      out.add_row({"p50_cost", std::to_string(series.percentile(0.50))});
+      out.add_row({"p99_cost", std::to_string(series.percentile(0.99))});
+      out.add_row({"max_cost", std::to_string(series.max())});
     }
     if (o.optimal_gap) {
-      // Gap of the served cost (routing + rotations, the paper's cost
-      // convention) against the hindsight-optimal static k-ary tree for
-      // this exact trace. The "optimal" topology serves at gap 1.000 by
-      // construction; self-adjusting networks show their adjustment
-      // overhead, sharded engines additionally pay the top-tree detour.
+      // Everything the run spent — serving (routing + rotations, the
+      // paper's cost convention) plus migration, lifecycle and recovery —
+      // against the hindsight-optimal static k-ary tree for this exact
+      // trace. The "optimal" topology serves at gap 1.000 by construction.
       const int gap_k = o.topology == "binary" ? 2 : o.k;
       const Cost opt =
-          precomputed_opt ? *precomputed_opt : optimal_cost_for(trace, gap_k);
-      out.add_row({"optimal static cost", std::to_string(opt)});
-      out.add_row(
-          {"optimality gap (online / optimal)",
-           opt > 0
-               ? fixed_cell(static_cast<double>(routing + rotations) / opt)
-               : std::string("-")});
+          opt_cost ? *opt_cost : optimal_cost_for(*trace, gap_k);
+      out.add_row({"optimal_static_cost", std::to_string(opt)});
+      out.add_row({"optimality_gap",
+                   opt > 0 ? fixed_cell(static_cast<double>(
+                                            res.grand_total_cost()) /
+                                        static_cast<double>(opt))
+                           : std::string("-")});
     }
-    if (o.csv)
-      std::cout << out.to_csv();
-    else
-      out.print();
-
-    if (!o.dump_tree.empty()) {
-      const KAryTree* tree = tree_of(net);
-      if (tree == nullptr)
-        throw TreeError("--dump-tree is not supported for this topology");
-      std::ofstream dot(o.dump_tree);
-      dot << to_dot(*tree);
+    if (faults.recovery_slo_ms > 0.0)
+      out.add_row({"recovery_slo",
+                   res.recovery_max_ms <= faults.recovery_slo_ms ? "met"
+                                                                 : "MISSED"});
+    std::cout << (o.csv ? out.to_csv() : out.to_markdown());
+    if (!o.dump_tree.empty())
       std::cout << "final topology written to " << o.dump_tree << "\n";
-    }
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

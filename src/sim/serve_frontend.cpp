@@ -775,14 +775,6 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
       dispatched == 0 ? 0.0
                       : 1.0 - static_cast<double>(cross_dispatched) /
                                   static_cast<double>(dispatched);
-  if (res.sojourn.count() > 0) {
-    res.sim.latency.measured = true;
-    res.sim.latency.mean_us = res.sojourn.mean() / 1e3;
-    res.sim.latency.p50_us = static_cast<double>(res.sojourn.p50()) / 1e3;
-    res.sim.latency.p99_us = static_cast<double>(res.sojourn.p99()) / 1e3;
-    res.sim.latency.p999_us = static_cast<double>(res.sojourn.p999()) / 1e3;
-    res.sim.latency.max_us = static_cast<double>(res.sojourn.max()) / 1e3;
-  }
   return res;
 }
 

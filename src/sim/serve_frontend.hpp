@@ -178,13 +178,15 @@ struct FrontendOptions {
 };
 
 struct FrontendResult {
-  /// Serve-path totals in the batch pipeline's conventions, with
-  /// sim.latency filled from the sojourn histogram. cross_shard counts
-  /// requests that were cross-shard under the map at dispatch time;
-  /// sim.requests counts every request the schedule offered (admitted or
-  /// shed), so sojourn.count() + sim.shed_requests == sim.requests.
+  /// Serve-path totals in the batch pipeline's conventions; latency lives
+  /// in the histograms below. cross_shard counts requests that were
+  /// cross-shard under the map at dispatch time; sim.requests counts every
+  /// request the schedule offered (admitted or shed), so sojourn.count() +
+  /// sim.shed_requests == sim.requests.
   SimResult sim;
-  /// Queue wait + service time per served request, nanoseconds.
+  /// Queue wait + service time per served request, nanoseconds, measured
+  /// from the intended arrival, so a backlogged server cannot hide its
+  /// stalls (no coordinated omission).
   LatencyHistogram sojourn;
   /// Arrival-to-first-admission wait per served request, nanoseconds.
   LatencyHistogram queue_wait;

@@ -32,20 +32,6 @@ namespace san {
 /// unchanged by where the chunk boundaries fall).
 inline constexpr std::size_t kStreamChunkRequests = 8192;
 
-/// Tail-latency summary attached to results that were measured under an
-/// open-loop arrival process (sim/serve_frontend.hpp). Latency of one
-/// request = queue wait + service time, measured from its *intended*
-/// arrival timestamp, so a backlogged server cannot hide its stalls
-/// (no coordinated omission). Closed-loop replay leaves this unmeasured.
-struct LatencyStats {
-  bool measured = false;
-  double mean_us = 0.0;
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-  double p999_us = 0.0;
-  double max_us = 0.0;
-};
-
 struct SimResult {
   Cost routing_cost = 0;    ///< sum of pre-adjustment path lengths
   Cost rotation_count = 0;  ///< k-splay / k-semi-splay / splay steps
@@ -109,10 +95,6 @@ struct SimResult {
   /// kDeadline it waited like kBlock.
   Cost queue_full_blocks = 0;
   Cost breaker_trips = 0;  ///< per-shard circuit-breaker open transitions
-
-  /// Sojourn-time summary when the result came from the open-loop serving
-  /// frontend; latency.measured stays false for closed-loop replay.
-  LatencyStats latency;
 
   // Batch-scheduling accounting (sim/schedule.hpp). `schedule` records the
   // policy the run was served under so bench JSON and CLI rows are

@@ -43,7 +43,17 @@ std::string Table::to_csv() const {
   auto emit = [&](const std::vector<std::string>& row) {
     for (size_t c = 0; c < header_.size(); ++c) {
       if (c > 0) out << ",";
-      out << (c < row.size() ? row[c] : std::string());
+      const std::string& cell = c < row.size() ? row[c] : std::string();
+      if (cell.find_first_of(",\"\n") == std::string::npos) {
+        out << cell;
+        continue;
+      }
+      out << '"';
+      for (char ch : cell) {
+        if (ch == '"') out << '"';
+        out << ch;
+      }
+      out << '"';
     }
     out << "\n";
   };

@@ -18,7 +18,8 @@ class Table {
 
   /// Pads cells to column width; pipe-separated (markdown-compatible).
   std::string to_markdown() const;
-  /// Comma-separated (no escaping; cells must not contain commas).
+  /// Comma-separated, RFC 4180: a cell holding a comma, a double quote or
+  /// a newline is wrapped in double quotes, with its quotes doubled.
   std::string to_csv() const;
   /// Prints markdown to stdout.
   void print() const;

@@ -98,8 +98,8 @@ TEST(Frontend, MultiShardServesEverythingOnce) {
 }
 
 // A paced Poisson run completes with sane latency plumbing: measured
-// sojourn quantiles are monotone, the mean lies inside [min, max], the
-// SimResult mirror matches the histogram, and offered rate is reported.
+// sojourn quantiles are monotone, the mean lies inside [min, max], and
+// offered rate is reported.
 TEST(Frontend, PoissonOpenLoopReportsLatencies) {
   const int n = 64;
   const std::size_t m = 20000;
@@ -109,17 +109,12 @@ TEST(Frontend, PoissonOpenLoopReportsLatencies) {
   ServeFrontend fe(net);
   const FrontendResult r = fe.run(trace, arrivals);
   ASSERT_EQ(r.sojourn.count(), m);
-  EXPECT_TRUE(r.sim.latency.measured);
   EXPECT_LE(r.sojourn.min(), r.sojourn.p50());
   EXPECT_LE(r.sojourn.p50(), r.sojourn.p99());
   EXPECT_LE(r.sojourn.p99(), r.sojourn.p999());
   EXPECT_LE(r.sojourn.p999(), r.sojourn.max());
-  EXPECT_GE(r.sim.latency.mean_us,
-            static_cast<double>(r.sojourn.min()) / 1e3);
-  EXPECT_LE(r.sim.latency.mean_us,
-            static_cast<double>(r.sojourn.max()) / 1e3);
-  EXPECT_DOUBLE_EQ(r.sim.latency.p99_us,
-                   static_cast<double>(r.sojourn.p99()) / 1e3);
+  EXPECT_GE(r.sojourn.mean(), static_cast<double>(r.sojourn.min()));
+  EXPECT_LE(r.sojourn.mean(), static_cast<double>(r.sojourn.max()));
   EXPECT_GT(r.offered_rate, 0.0);
   EXPECT_GT(r.achieved_rate, 0.0);
   // Queue wait is a component of sojourn, never more than all of it.

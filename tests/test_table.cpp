@@ -21,6 +21,11 @@ TEST(Table, CsvLayout) {
   Table t({"a", "b", "c"});
   t.add_row({"1", "2"});  // short row padded
   EXPECT_EQ(t.to_csv(), "a,b,c\n1,2,\n");
+  // RFC 4180: cells holding a comma, a quote or a newline are quoted.
+  t.add_row({"sharded[4,hash]", "say \"hi\"", "two\nlines"});
+  EXPECT_EQ(t.to_csv(),
+            "a,b,c\n1,2,\n"
+            "\"sharded[4,hash]\",\"say \"\"hi\"\"\",\"two\nlines\"\n");
 }
 
 TEST(Table, RatioCell) {
