@@ -219,9 +219,9 @@ void KAryTree::set_root(NodeId id) {
   hi_[static_cast<size_t>(id)] = kKeyMax;
 }
 
-void KAryTree::install(NodeId id, std::span<const RoutingKey> keys,
-                       std::span<const NodeId> children, RoutingKey lo,
-                       RoutingKey hi) {
+int KAryTree::install(NodeId id, std::span<const RoutingKey> keys,
+                      std::span<const NodeId> children, RoutingKey lo,
+                      RoutingKey hi) {
   check(id);
   if (children.size() != keys.size() + 1)
     throw TreeError("install: children.size() must be keys.size()+1");
@@ -233,12 +233,20 @@ void KAryTree::install(NodeId id, std::span<const RoutingKey> keys,
             children_.begin() + static_cast<std::ptrdiff_t>(child_base(id)));
   lo_[static_cast<size_t>(id)] = lo;
   hi_[static_cast<size_t>(id)] = hi;
+  // Branch-free back-links and move count: an empty slot (kNoNode) addresses
+  // slot 0 and writes its sentinel values back, so the loop never tests for
+  // holes.
+  static_assert(kNoNode == 0, "slot 0 of the scalar arrays is kNoNode's");
+  int moved = 0;
   for (int s = 0; s < static_cast<int>(children.size()); ++s) {
-    const NodeId c = children[static_cast<size_t>(s)];
-    if (c == kNoNode) continue;
-    parent_[static_cast<size_t>(c)] = id;
-    slot_in_parent_[static_cast<size_t>(c)] = s;
+    const size_t c = static_cast<size_t>(children[static_cast<size_t>(s)]);
+    const std::int32_t present = c != static_cast<size_t>(kNoNode);
+    const std::int32_t mask = -present;  // all ones for a real child
+    moved += present & static_cast<std::int32_t>(parent_[c] != id);
+    parent_[c] = id & mask;                     // kNoNode when empty
+    slot_in_parent_[c] = ((s + 1) & mask) - 1;  // -1 when empty
   }
+  return moved;
 }
 
 void KAryTree::link(NodeId parent, int slot, NodeId child) {

@@ -174,9 +174,13 @@ class KAryTree {
   /// Installs keys/children on `id` and fixes the parent/slot back-links of
   /// every non-empty child. Does not touch `id`'s own parent link. The
   /// spans are copied into the flat storage; they must not alias this
-  /// tree's own key/child buffers.
-  void install(NodeId id, std::span<const RoutingKey> keys,
-               std::span<const NodeId> children, RoutingKey lo, RoutingKey hi);
+  /// tree's own key/child buffers. Returns how many of the installed
+  /// children had a parent other than `id` before the call; the rotation
+  /// engine sums these into its move counts, builders ignore it. Empty
+  /// slots leave the kNoNode sentinel (slot 0 of the scalar arrays) as it
+  /// was: parent kNoNode, slot -1.
+  int install(NodeId id, std::span<const RoutingKey> keys,
+              std::span<const NodeId> children, RoutingKey lo, RoutingKey hi);
   /// Brace-list convenience for builders and tests.
   void install(NodeId id, std::initializer_list<RoutingKey> keys,
                std::initializer_list<NodeId> children, RoutingKey lo,

@@ -2,61 +2,72 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <vector>
 
 namespace san {
 namespace {
 
-// Alternating element/interval sequence produced by merging adjacent nodes,
-// plus the pre-rotation edge snapshot. slots.size() == elems.size() + 1;
-// slots[i] is the (possibly empty) subtree sitting in the interval
-// (elems[i-1], elems[i]) with range sentinels at the ends. Every interval
-// holds at most one subtree because each participating node's children
-// occupy disjoint consecutive intervals.
+// Alternating element/interval sequence produced by merging adjacent nodes:
+// elems[0..len) and slots[0..len]. slots[i] is the (possibly empty) subtree
+// sitting in the interval (elems[i-1], elems[i]) with range sentinels at
+// the ends. Every interval holds at most one subtree because each
+// participating node's children occupy disjoint consecutive intervals.
 //
-// The buffers are thread_local and grow to the per-arity high-water mark on
-// first use (a k-splay merges at most 3(k-1) elements), after which every
-// rotation runs without touching the heap — the serve() hot path performs
-// zero allocations in steady state.
+// The arrays are thread_local and sized once to the arity's high-water mark
+// (a k-splay merges at most 3(k-1) elements); splices and block cuts edit
+// them in place, so every rotation after the first at a given arity runs
+// without touching the heap — the serve() hot path performs zero
+// allocations in steady state. No copy of the old links is kept: every
+// merged node is installed exactly once, so install()'s count of re-parented
+// children is the rotation's move count.
 struct Scratch {
   std::vector<RoutingKey> elems;
   std::vector<NodeId> slots;
-  std::vector<NodeId> snap_nodes;
-  std::vector<NodeId> snap_parents;
+  int len = 0;  // elements in use; slots holds len + 1
 };
 
 Scratch& scratch_for(int k) {
   thread_local Scratch s;
-  const size_t cap = 3 * static_cast<size_t>(k);
-  s.elems.reserve(cap);
-  s.slots.reserve(cap + 1);
-  s.snap_nodes.reserve(cap + 4);
-  s.snap_parents.reserve(cap + 4);
+  const size_t cap = 3 * static_cast<size_t>(k - 1);
+  if (s.elems.size() < cap) {
+    s.elems.resize(cap);
+    s.slots.resize(cap + 1);
+  }
   return s;
 }
 
 void expand(Scratch& m, const KAryTree& tree, NodeId id) {
   const std::span<const RoutingKey> ks = tree.keys(id);
   const std::span<const NodeId> cs = tree.children(id);
-  m.elems.assign(ks.begin(), ks.end());
-  m.slots.assign(cs.begin(), cs.end());
+  std::copy(ks.begin(), ks.end(), m.elems.data());
+  std::copy(cs.begin(), cs.end(), m.slots.data());
+  m.len = static_cast<int>(ks.size());
 }
 
 // Replaces slot `at` (which must currently hold `child`) with `child`'s own
 // keys and child slots.
 void splice(Scratch& m, int at, const KAryTree& tree, NodeId child) {
-  assert(m.slots[static_cast<size_t>(at)] == child);
+  RoutingKey* const elems = m.elems.data();
+  NodeId* const slots = m.slots.data();
+  assert(slots[at] == child);
   const std::span<const RoutingKey> ks = tree.keys(child);
   const std::span<const NodeId> cs = tree.children(child);
-  m.slots.erase(m.slots.begin() + at);
-  m.slots.insert(m.slots.begin() + at, cs.begin(), cs.end());
-  m.elems.insert(m.elems.begin() + at, ks.begin(), ks.end());
+  const int nk = static_cast<int>(ks.size());
+  const size_t tail = static_cast<size_t>(m.len - at);
+  // memmove: the ranges overlap, and coincide when `child` is keyless.
+  std::memmove(slots + at + 1 + nk, slots + at + 1, tail * sizeof(NodeId));
+  std::copy(cs.begin(), cs.end(), slots + at);
+  std::memmove(elems + at + nk, elems + at, tail * sizeof(RoutingKey));
+  std::copy(ks.begin(), ks.end(), elems + at);
+  m.len += nk;
 }
 
+// Number of merged elements <= value: the interval holding `value`.
 int interval_index(const Scratch& m, RoutingKey value) {
-  return static_cast<int>(
-      std::upper_bound(m.elems.begin(), m.elems.end(), value) -
-      m.elems.begin());
+  int j = 0;
+  for (int i = 0; i < m.len; ++i) j += m.elems[static_cast<size_t>(i)] <= value;
+  return j;
 }
 
 // Interval-index constraints for a block choice. `hard_*` marks the slot
@@ -71,10 +82,10 @@ struct BlockAvoid {
 };
 
 // Carves a contiguous block of `s` internal elements (s+1 intervals) out of
-// `m`, covering node `id`'s identifier, and installs it as node `id`. The
-// block is replaced in `m` by a single slot holding `id`; the new interval
-// index of that slot is returned. `outer_lo`/`outer_hi` bound the whole
-// merged sequence.
+// `m`, covering node `id`'s identifier, and installs it as node `id`, adding
+// the number of re-parented children to `moved`. The block is replaced in
+// `m` by a single slot holding `id`; the new interval index of that slot is
+// returned. `outer_lo`/`outer_hi` bound the whole merged sequence.
 //
 // Interval semantics are open: a boundary value belongs to neither side
 // (key values are globally unique, so no target can be ambiguous). Hence
@@ -85,22 +96,23 @@ struct BlockAvoid {
 // that interval.
 int collapse_block(KAryTree& tree, Scratch& m, NodeId id, int s,
                    BlockPlacement placement, RoutingKey outer_lo,
-                   RoutingKey outer_hi, BlockAvoid avoid = {}) {
-  const int M = static_cast<int>(m.elems.size());
+                   RoutingKey outer_hi, int& moved, BlockAvoid avoid = {}) {
+  RoutingKey* const elems = m.elems.data();
+  NodeId* const slots = m.slots.data();
+  const int M = m.len;
   assert(s >= 0 && s <= M);
   const RoutingKey v = id_key(id);
-  const auto lb = std::lower_bound(m.elems.begin(), m.elems.end(), v);
-  const bool own_key_present = lb != m.elems.end() && *lb == v;
-  int j = static_cast<int>(lb - m.elems.begin());
-  int a_min, a_max;
-  if (own_key_present) {
-    if (s == 0) s = 1;  // must take at least the own id key
-    a_min = std::max(0, j - s + 1);
-    a_max = std::min(j, M - s);
-  } else {
-    a_min = std::max(0, j - s);
-    a_max = std::min(j, M - s);
+  int j = 0;  // elements < v: the lower_bound position of v
+  int own_key_present = 0;
+  for (int i = 0; i < M; ++i) {
+    j += elems[i] < v;
+    own_key_present |= elems[i] == v;
   }
+  // With the own id key present the block must take it (so at least one
+  // element) and may start no further left than j - s + 1.
+  s += own_key_present & (s == 0);
+  const int a_min = std::max(0, j - s + own_key_present);
+  const int a_max = std::min(j, M - s);
   assert(a_min <= a_max);
 
   // Score every feasible window (there are at most k of them): hard
@@ -113,33 +125,29 @@ int collapse_block(KAryTree& tree, Scratch& m, NodeId id, int s,
   int best_score = INT32_MAX;
   for (int cand = a_min; cand <= a_max; ++cand) {
     const int lo_iv = cand, hi_iv = cand + s;  // inclusive interval range
-    int score = 0;
-    if (avoid.hard_begin <= avoid.hard_end && lo_iv <= avoid.hard_end &&
-        hi_iv >= avoid.hard_begin)
-      score += 4;
-    if (avoid.soft >= lo_iv && avoid.soft <= hi_iv) score += 2;
-    score = score * (M + 1) + std::abs(cand - preferred);
-    if (score < best_score) {
-      best_score = score;
-      a = cand;
-    }
+    const int hard = (avoid.hard_begin <= avoid.hard_end) &
+                     (lo_iv <= avoid.hard_end) & (hi_iv >= avoid.hard_begin);
+    const int soft = (avoid.soft >= lo_iv) & (avoid.soft <= hi_iv);
+    const int score =
+        (4 * hard + 2 * soft) * (M + 1) + std::abs(cand - preferred);
+    const bool better = score < best_score;
+    best_score = better ? score : best_score;
+    a = better ? cand : a;
   }
 
-  const RoutingKey lo = (a == 0) ? outer_lo : m.elems[static_cast<size_t>(a - 1)];
-  const RoutingKey hi =
-      (a + s == M) ? outer_hi : m.elems[static_cast<size_t>(a + s)];
-  // Spans view the scratch buffers; install() copies them into the tree's
-  // flat storage before we shrink the merged sequence below.
-  tree.install(id,
-               std::span<const RoutingKey>(m.elems.data() + a,
-                                           static_cast<size_t>(s)),
-               std::span<const NodeId>(m.slots.data() + a,
-                                       static_cast<size_t>(s) + 1),
-               lo, hi);
+  const RoutingKey lo = (a == 0) ? outer_lo : elems[a - 1];
+  const RoutingKey hi = (a + s == M) ? outer_hi : elems[a + s];
+  // install() copies the block out of the scratch before it is cut below.
+  moved += tree.install(
+      id, std::span<const RoutingKey>(elems + a, static_cast<size_t>(s)),
+      std::span<const NodeId>(slots + a, static_cast<size_t>(s) + 1), lo, hi);
 
-  m.elems.erase(m.elems.begin() + a, m.elems.begin() + a + s);
-  m.slots.erase(m.slots.begin() + a, m.slots.begin() + a + s + 1);
-  m.slots.insert(m.slots.begin() + a, id);
+  // memmove: the ranges overlap, and coincide when the block is keyless.
+  const size_t tail = static_cast<size_t>(M - a - s);
+  slots[a] = id;
+  std::memmove(slots + a + 1, slots + a + s + 1, tail * sizeof(NodeId));
+  std::memmove(elems + a, elems + a + s, tail * sizeof(RoutingKey));
+  m.len = M - s;
   return a;
 }
 
@@ -153,27 +161,24 @@ int clamp_block_size(int desired, int total_remaining, int budget_after,
   return std::clamp(desired, lower, upper);
 }
 
-void snapshot(Scratch& m, const KAryTree& tree,
-              std::initializer_list<NodeId> protagonists) {
-  m.snap_nodes.clear();
-  m.snap_parents.clear();
-  for (NodeId s : m.slots)
-    if (s != kNoNode) m.snap_nodes.push_back(s);
-  for (NodeId p : protagonists) m.snap_nodes.push_back(p);
-  for (NodeId nd : m.snap_nodes) m.snap_parents.push_back(tree.parent(nd));
-}
-
-RotationResult diff(const KAryTree& tree, const Scratch& m) {
-  RotationResult res;
-  for (size_t i = 0; i < m.snap_nodes.size(); ++i) {
-    NodeId now = tree.parent(m.snap_nodes[i]);
-    NodeId before = m.snap_parents[i];
-    if (now == before) continue;
-    ++res.parent_changes;
-    if (before != kNoNode) ++res.edge_changes;  // link removed
-    if (now != kNoNode) ++res.edge_changes;     // link added
-  }
-  return res;
+// Installs x over what is left of the merged sequence and hangs it where
+// the rotated segment's top was. Every merged node, the pushed-down ones
+// included, was installed exactly once and x moves too, so the moves are
+// the install counts plus one; each move swaps one link for another except
+// the old root's (no link before) and x's when it becomes the root (none
+// after), and the old root moves exactly when x takes its place.
+RotationResult finish(KAryTree& tree, Scratch& m, NodeId x, RoutingKey lo,
+                      RoutingKey hi, NodeId top, int top_slot, int moved) {
+  const size_t len = static_cast<size_t>(m.len);
+  moved += 1 + tree.install(
+                   x, std::span<const RoutingKey>(m.elems.data(), len),
+                   std::span<const NodeId>(m.slots.data(), len + 1), lo, hi);
+  const bool x_is_root = top == kNoNode;
+  if (x_is_root)
+    tree.set_root(x);
+  else
+    tree.link(top, top_slot, x);
+  return RotationResult{moved, 2 * (moved - static_cast<int>(x_is_root))};
 }
 
 }  // namespace
@@ -192,22 +197,16 @@ RotationResult k_semi_splay(KAryTree& tree, NodeId x,
   Scratch& m = scratch_for(k);
   expand(m, tree, p);
   splice(m, x_slot, tree, x);
-  snapshot(m, tree, {x, p});
 
-  const int M = static_cast<int>(m.elems.size());
+  const int M = m.len;
   const int desired =
       policy.sizing == BlockSizing::kGreedyMax ? k - 1 : (M + 1) / 2;
   const int s_p = clamp_block_size(desired, M, /*budget_after=*/1, k);
   BlockAvoid p_avoid;
   if (policy.case_preference) p_avoid.soft = interval_index(m, id_key(x));
-  collapse_block(tree, m, p, s_p, policy.placement, lo, hi, p_avoid);
-
-  tree.install(x, m.elems, m.slots, lo, hi);
-  if (g == kNoNode)
-    tree.set_root(x);
-  else
-    tree.link(g, g_slot, x);
-  return diff(tree, m);
+  int moved = 0;
+  collapse_block(tree, m, p, s_p, policy.placement, lo, hi, moved, p_avoid);
+  return finish(tree, m, x, lo, hi, g, g_slot, moved);
 }
 
 RotationResult k_splay(KAryTree& tree, NodeId x, const RotationPolicy& policy) {
@@ -231,9 +230,8 @@ RotationResult k_splay(KAryTree& tree, NodeId x, const RotationPolicy& policy) {
   const int x_begin = p_slot + x_slot;
   const int x_len = tree.num_children(x);
   splice(m, x_begin, tree, x);
-  snapshot(m, tree, {x, p, g});
 
-  const int M = static_cast<int>(m.elems.size());
+  const int M = m.len;
   const bool greedy = policy.sizing == BlockSizing::kGreedyMax;
   const int s_g = clamp_block_size(greedy ? k - 1 : (M + 2) / 3, M,
                                    /*budget_after=*/2, k);
@@ -247,25 +245,20 @@ RotationResult k_splay(KAryTree& tree, NodeId x, const RotationPolicy& policy) {
     g_avoid.hard_end = x_begin + x_len - 1;
     g_avoid.soft = interval_index(m, id_key(p));
   }
-  const int g_slot =
-      collapse_block(tree, m, g, s_g, policy.placement, lo, hi, g_avoid);
+  int moved = 0;
+  const int g_slot = collapse_block(tree, m, g, s_g, policy.placement, lo, hi,
+                                    moved, g_avoid);
   // Re-read the remaining element count: collapse_block may take one extra
   // element when the own-id-key rule forces a non-empty block.
-  const int M2 = static_cast<int>(m.elems.size());
+  const int M2 = m.len;
   const int s_p = clamp_block_size(greedy ? k - 1 : (M2 + 1) / 2, M2,
                                    /*budget_after=*/1, k);
   // p prefers to stay g's sibling (case 1); when its identifier interval
   // is swallowed by g's block it chains below (case 2).
   BlockAvoid p_avoid;
   if (policy.case_preference) p_avoid.soft = g_slot;
-  collapse_block(tree, m, p, s_p, policy.placement, lo, hi, p_avoid);
-
-  tree.install(x, m.elems, m.slots, lo, hi);
-  if (top == kNoNode)
-    tree.set_root(x);
-  else
-    tree.link(top, top_slot, x);
-  return diff(tree, m);
+  collapse_block(tree, m, p, s_p, policy.placement, lo, hi, moved, p_avoid);
+  return finish(tree, m, x, lo, hi, top, top_slot, moved);
 }
 
 }  // namespace san

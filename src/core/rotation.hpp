@@ -43,7 +43,14 @@ struct RotationPolicy {
 
 /// Adjustment bookkeeping for one rotation, matching the Section 2 cost
 /// model (edges added or removed) plus the unit-per-rotation convention of
-/// the experimental section.
+/// the experimental section. Counted while the rotation writes its links:
+/// every merged child, the pushed-down parent/grandparent included, is
+/// installed exactly once, so parent_changes is the number of installed
+/// children whose parent differs, plus one for the splayed node. Every
+/// such move removes one link and adds one, except that the old root had
+/// none to remove and the splayed node has none to add when it becomes the
+/// root (which is exactly when the old root moves), so
+/// edge_changes = 2 * (parent_changes - [splayed node is the new root]).
 struct RotationResult {
   int parent_changes = 0;  ///< nodes whose parent link changed
   int edge_changes = 0;    ///< links removed + links added

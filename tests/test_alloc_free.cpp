@@ -3,8 +3,9 @@
 // (first rotations size the thread-local rotation scratch to its per-arity
 // high-water mark), a serve/replay loop must perform ZERO heap allocations:
 // KAryTree's flat storage never grows, tree walks keep no state of their
-// own, rotations reuse the thread-local merge buffers, and the static
-// costing path is pure pointer chasing.
+// own, rotations splice and cut the thread-local merge buffers in place and
+// count their moves inside install() (no snapshot of the old links), and
+// the static costing path is pure pointer chasing.
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -140,38 +140,52 @@ TEST(FuzzInvariants, ServeAccessMixWithFullAudits) {
 }
 
 TEST(FuzzInvariants, RotationAccountingMatchesIndependentEdgeDiff) {
+  // Every policy knob the engine branches on: block sizing, placement, and
+  // the case-1/case-2 preference with its hard-avoid window.
+  const std::pair<RotationPolicy, const char*> policies[] = {
+      {{}, "default"},
+      {{.sizing = BlockSizing::kGreedyMax}, "greedy"},
+      {{.placement = BlockPlacement::kLeftmost}, "leftmost"},
+      {{.placement = BlockPlacement::kRightmost}, "rightmost"},
+      {{.case_preference = false}, "no-case-preference"},
+  };
   for (const auto& [k, n, seed] : {std::tuple{2, 40, 1u}, std::tuple{3, 60, 2u},
-                                   std::tuple{6, 90, 3u}}) {
-    std::mt19937_64 rng(seed);
-    KAryTree t = build_from_shape(k, make_random_shape(n, k, rng));
-    std::uniform_int_distribution<NodeId> pick(1, n);
-    int splays = 0, semis = 0;
-    for (int i = 0; i < 1500; ++i) {
-      const NodeId x = pick(rng);
-      const NodeId p = t.parent(x);
-      if (p == kNoNode) continue;  // root: no rotation defined
-      const std::vector<NodeId> before = snapshot_parents(t);
-      RotationResult reported;
-      if (t.parent(p) != kNoNode && (rng() & 1)) {
-        reported = k_splay(t, x);
-        ++splays;
-      } else {
-        reported = k_semi_splay(t, x);
-        ++semis;
+                                   std::tuple{6, 90, 3u},
+                                   std::tuple{10, 150, 4u}}) {
+    for (const auto& [policy, name] : policies) {
+      std::mt19937_64 rng(seed);
+      KAryTree t = build_from_shape(k, make_random_shape(n, k, rng));
+      std::uniform_int_distribution<NodeId> pick(1, n);
+      int splays = 0, semis = 0;
+      for (int i = 0; i < 1500; ++i) {
+        const NodeId x = pick(rng);
+        const NodeId p = t.parent(x);
+        if (p == kNoNode) continue;  // root: no rotation defined
+        const std::vector<NodeId> before = snapshot_parents(t);
+        RotationResult reported;
+        if (t.parent(p) != kNoNode && (rng() & 1)) {
+          reported = k_splay(t, x, policy);
+          ++splays;
+        } else {
+          reported = k_semi_splay(t, x, policy);
+          ++semis;
+        }
+        const RotationResult independent = diff_parents(t, before);
+        ASSERT_EQ(reported.parent_changes, independent.parent_changes)
+            << "k=" << k << " " << name << " rotation " << i << " of node "
+            << x;
+        ASSERT_EQ(reported.edge_changes, independent.edge_changes)
+            << "k=" << k << " " << name << " rotation " << i << " of node "
+            << x;
+        if (i % 150 == 0) {
+          const auto err = t.validate();
+          ASSERT_FALSE(err.has_value()) << *err;
+        }
       }
-      const RotationResult independent = diff_parents(t, before);
-      ASSERT_EQ(reported.parent_changes, independent.parent_changes)
-          << "k=" << k << " rotation " << i << " of node " << x;
-      ASSERT_EQ(reported.edge_changes, independent.edge_changes)
-          << "k=" << k << " rotation " << i << " of node " << x;
-      if (i % 150 == 0) {
-        const auto err = t.validate();
-        ASSERT_FALSE(err.has_value()) << *err;
-      }
+      // The mix must actually exercise both rotation kinds.
+      EXPECT_GT(splays, 100) << "k=" << k << " " << name;
+      EXPECT_GT(semis, 100) << "k=" << k << " " << name;
     }
-    // The mix must actually exercise both rotation kinds.
-    EXPECT_GT(splays, 100);
-    EXPECT_GT(semis, 100);
   }
 }
 
