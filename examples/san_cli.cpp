@@ -94,7 +94,6 @@ struct Options {
   double admit_rate = 0.0;             // token-bucket admission throttle
   std::string schedule = "fifo";
   int sched_window = 1024;
-  int sched_group = 8;
   std::size_t requests = 100000;
   std::uint64_t seed = 1;
   bool open_loop = false;
@@ -148,7 +147,6 @@ Cost optimal_cost_for(const Trace& trace, int k) {
          "          [--replicas R] [--fault [KIND:]IDX@SHARD[,...]]\n"
          "          [--chaos-seed SEED] [--recovery-slo MS]\n"
          "          [--schedule fifo|locality] [--sched-window W]\n"
-         "          [--sched-group G]\n"
          "          [--open-loop] [--arrival poisson|bursty|saturation]\n"
          "          [--rate R] [--duration T]\n"
          "          [--queue-policy block|shed|deadline] [--deadline-ms D]\n"
@@ -178,8 +176,7 @@ Cost optimal_cost_for(const Trace& trace, int k) {
          "  than --deadline-ms at admission and dequeue); --admit-rate R\n"
          "  arms a token-bucket admission throttle (open-loop only)\n"
          "--schedule locality reorders requests within --sched-window slots\n"
-         "  by LCA cluster and serves --sched-group descents behind an\n"
-         "  interleaved prefetch warm-up (per shard / admission batch);\n"
+         "  by LCA cluster (per shard / admission batch);\n"
          "  costs are the honest costs of the permuted order — totals only,\n"
          "  no per-request percentiles. fifo (default) is bit-identical to\n"
          "  previous releases\n"
@@ -239,7 +236,6 @@ Options parse(int argc, char** argv) {
     else if (arg == "--admit-rate") o.admit_rate = std::stod(next());
     else if (arg == "--schedule") o.schedule = next();
     else if (arg == "--sched-window") o.sched_window = std::stoi(next());
-    else if (arg == "--sched-group") o.sched_group = std::stoi(next());
     else if (arg == "--requests") count(o.requests);
     else if (arg == "--seed") o.seed = std::stoull(next());
     else if (arg == "--open-loop") o.open_loop = true;
@@ -276,9 +272,8 @@ WorkloadKind parse_workload(const std::string& name) {
   return it->second;
 }
 
-// Rejects unknown policy names and non-positive window/group at argument
-// level (ScheduleConfig::validate also rejects group > window) so a typo
-// fails fast instead of surfacing mid-run.
+// Rejects unknown policy names and a non-positive window at argument level
+// so a typo fails fast instead of surfacing mid-run.
 ScheduleConfig parse_schedule(const Options& o) {
   ScheduleConfig s;
   if (o.schedule == "fifo")
@@ -289,7 +284,6 @@ ScheduleConfig parse_schedule(const Options& o) {
     throw TreeError("unknown schedule policy: " + o.schedule +
                     " (expected fifo|locality)");
   s.window = o.sched_window;
-  s.group = o.sched_group;
   s.validate();
   return s;
 }

@@ -72,62 +72,6 @@ PathInfo KAryTree::path_info(NodeId u, NodeId v) const {
   }
 }
 
-void KAryTree::path_info_batch(std::span<const NodeId> us,
-                               std::span<const NodeId> vs,
-                               std::span<PathInfo> out, int group) const {
-  if (us.size() != vs.size() || us.size() != out.size())
-    throw TreeError("path_info_batch: span sizes must match");
-  if (group < 1) throw TreeError("path_info_batch: group must be >= 1");
-  const auto prefetch_node = [this](NodeId id) {
-    const size_t i = static_cast<size_t>(check(id));
-    prefetch_read(&parent_[i]);
-    prefetch_read(&lo_[i]);
-    prefetch_read(&hi_[i]);
-  };
-  const size_t g = static_cast<size_t>(group);
-  for (size_t base = 0; base < us.size(); base += g) {
-    const size_t end = std::min(us.size(), base + g);
-    for (size_t i = base; i < end; ++i) {
-      prefetch_node(us[i]);
-      prefetch_node(vs[i]);
-    }
-    for (size_t i = base; i < end; ++i) out[i] = path_info(us[i], vs[i]);
-  }
-}
-
-int KAryTree::warm_root_paths(std::span<const NodeId> ids) const {
-  constexpr size_t kMaxLanes = 64;
-  NodeId cur[kMaxLanes];
-  int hops = 0;
-  for (size_t base = 0; base < ids.size(); base += kMaxLanes) {
-    const size_t lanes = std::min(kMaxLanes, ids.size() - base);
-    size_t live = 0;
-    for (size_t i = 0; i < lanes; ++i) {
-      const NodeId id = check(ids[base + i]);
-      prefetch_read(&parent_[static_cast<size_t>(id)]);
-      prefetch_read(keys_.data() + key_base(id));
-      prefetch_read(children_.data() + child_base(id));
-      cur[live++] = id;
-    }
-    int rounds = 0;
-    while (live > 0) {
-      if (++rounds > n_) throw TreeError("parent cycle in warm_root_paths()");
-      size_t keep = 0;
-      for (size_t i = 0; i < live; ++i) {
-        const NodeId up = parent_[static_cast<size_t>(cur[i])];
-        if (up == kNoNode) continue;  // reached a root: lane retires
-        ++hops;
-        prefetch_read(&parent_[static_cast<size_t>(up)]);
-        prefetch_read(keys_.data() + key_base(up));
-        prefetch_read(children_.data() + child_base(up));
-        cur[keep++] = up;
-      }
-      live = keep;
-    }
-  }
-  return hops;
-}
-
 int KAryTree::route_into(NodeId u, NodeId v, std::vector<NodeId>& out) const {
   const PathInfo p = path_info(u, v);
   out.resize(static_cast<size_t>(p.distance) + 1);

@@ -59,16 +59,6 @@ struct PathInfo {
   int distance = 0;
 };
 
-/// Read prefetch hint with low expected temporal locality. No-op where
-/// __builtin_prefetch is unavailable.
-inline void prefetch_read(const void* p) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(p, /*rw=*/0, /*locality=*/1);
-#else
-  (void)p;
-#endif
-}
-
 class KAryTree {
  public:
   /// Creates a tree of `n` detached nodes with ids 1..n and arity `k` >= 2.
@@ -128,21 +118,6 @@ class KAryTree {
   /// whose cached range holds the other's id; when one endpoint is an
   /// ancestor of the other, a lockstep climb settles which one.
   PathInfo path_info(NodeId u, NodeId v) const;
-  /// Batch variant of path_info(): computes `out[i] = path_info(us[i],
-  /// vs[i])` in blocks of `group` pairs, prefetching every endpoint's
-  /// parent / range lines of a block before walking it so the first DRAM
-  /// misses of independent walks overlap. Each result is the scalar call's.
-  /// All three spans must have equal length.
-  void path_info_batch(std::span<const NodeId> us, std::span<const NodeId> vs,
-                       std::span<PathInfo> out, int group = 8) const;
-  /// Interleaved parent-chase from each id to the root that only issues
-  /// read prefetches on the parent / key / child cache lines a subsequent
-  /// splay over those nodes will touch. O(depth) by design: it warms whole
-  /// root paths. Returns the total number of hops walked
-  /// (the sum of the ids' depths). Node ids are permanent indexes into the
-  /// flat SoA buffers — nodes never move in memory — so the warmed lines
-  /// stay useful even as rotations rewire links underneath.
-  int warm_root_paths(std::span<const NodeId> ids) const;
   /// Nodes of the unique u->v routing path, endpoints included.
   std::vector<NodeId> route(NodeId u, NodeId v) const;
   /// Buffer-reusing variant: replaces `out` with the path and returns its

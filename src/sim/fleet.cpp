@@ -27,10 +27,6 @@ ShardDrain drain_shard(KArySplayNet& shard, KArySplayNet* replica,
     if (op.is_ascent())
       res.ascent_cost += s.routing_cost + static_cast<Cost>(s.rotations);
   };
-  if (!sched.reorders()) {
-    for (const ShardOp& op : ops) serve_one(op);
-    return res;
-  }
   LocalityScheduler scheduler(sched);
   scheduler.run(
       shard.tree(), std::span<ShardOp>(ops),

@@ -1,21 +1,18 @@
 // Intra-shard batch scheduling policies.
 //
-// FIFO is the bit-exact default: requests are served in arrival order and no
-// code on that path changed. kLocality reorders requests *within bounded
-// windows* of a drain chunk by tree locality — the sort key is the LCA of the
-// request's access path, so requests touching the same subtree region are
-// served consecutively while their upper path is cache-hot — and serves each
-// window in small groups whose root paths are warmed by an interleaved
-// software-prefetch walk (KAryTree::warm_root_paths) before the serves run.
+// FIFO is the bit-exact default: requests are served in arrival order.
+// kLocality reorders requests *within bounded windows* of a drain chunk by
+// tree locality — the sort key is the LCA of the request's access path, so
+// requests touching the same subtree region are served consecutively — and
+// then serves the window in its new order.
 //
 // Cost semantics: a locality-scheduled serve is an ordinary sequential serve
 // of the *permuted* sequence. The scheduler never interleaves mutations of
-// two descents and the prefetch warm-up is read-only, so the reported
-// routing/rotation costs are exactly what FIFO would report for that
-// permutation — deterministic (stable sort over deterministic keys),
-// golden-lockable, and honestly different from FIFO's costs because splay
-// order matters. The scheduling pass itself is mutation-free, and its
-// per-request path_info keying is an O(distance) walk.
+// two descents, so the reported routing/rotation costs are exactly what
+// FIFO would report for that permutation — deterministic (stable sort over
+// deterministic keys), golden-lockable, and honestly different from FIFO's
+// costs because splay order matters. The keying pass is mutation-free: one
+// O(distance) lca() walk per request.
 #pragma once
 
 #include <algorithm>
@@ -24,14 +21,13 @@
 #include <span>
 #include <vector>
 
-#include "core/karytree.hpp"
 #include "core/types.hpp"
 
 namespace san {
 
 enum class SchedulePolicy : std::uint8_t {
   kFifo = 0,      ///< arrival order, bit-identical to pre-scheduler behavior
-  kLocality = 1,  ///< windowed LCA-cluster reorder + prefetch-warmed groups
+  kLocality = 1,  ///< windowed LCA-cluster reorder
 };
 
 const char* schedule_policy_name(SchedulePolicy p);
@@ -43,13 +39,10 @@ struct ScheduleConfig {
   /// boundary), bounding how far any request can be deferred past its
   /// arrival position.
   int window = 1024;
-  /// In-flight walks per interleaved keying / prefetch warm-up group.
-  int group = 8;
 
   bool reorders() const { return policy == SchedulePolicy::kLocality; }
-  /// Rejects non-positive window/group and group > window (a warm-up group
-  /// can never span more requests than one reorder window). Called by every
-  /// engine entry point before any request is served.
+  /// Rejects a non-positive window. Called by every engine entry point
+  /// before any request is served.
   void validate() const;
 };
 
@@ -57,8 +50,8 @@ struct ScheduleConfig {
 /// tree being scheduled. `u == kNoNode` marks an operation foreign to this
 /// tree (e.g. a frontend forward for another shard): it keeps its arrival
 /// position's sort key floor and is served as-is. `v == kNoNode` marks a
-/// root ascent (sharded first leg / access): it is keyed and warmed against
-/// the current root.
+/// root ascent (sharded first leg / access): it is keyed against the
+/// current root.
 struct ScheduleEndpoints {
   NodeId u = kNoNode;
   NodeId v = kNoNode;
@@ -66,10 +59,8 @@ struct ScheduleEndpoints {
 
 /// Windowed locality scheduler, generic over the operation type (Request,
 /// ShardOp, frontend QueueItem) via a caller-supplied `resolve` mapping an
-/// op to ScheduleEndpoints, and over the tree type: trees exposing the
-/// KAryTree batch walks get interleaved keying and prefetch warm-up; any
-/// tree with `lca(u,v)`/`root()` (BinarySplayNet) falls back to scalar
-/// keying with no warm-up, keeping the reorder semantics identical.
+/// op to ScheduleEndpoints, and over the tree type: any tree with
+/// `lca(u,v)`/`root()` (KAryTree, BinarySplayNet).
 class LocalityScheduler {
  public:
   explicit LocalityScheduler(const ScheduleConfig& cfg) : cfg_(cfg) {
@@ -80,10 +71,10 @@ class LocalityScheduler {
   /// position, accumulated over every window this scheduler processed.
   Cost reordered() const { return reordered_; }
 
-  /// Serves `ops` under the configured policy: each window is reordered
-  /// against the tree's current topology, then served in groups of
-  /// `cfg.group` with a prefetch warm-up per group. `serve` is invoked
-  /// exactly once per op, in the scheduled order.
+  /// Serves `ops` under the configured policy: FIFO serves them in
+  /// arrival order; kLocality reorders each window against the tree's
+  /// current topology, then serves it. `serve` is invoked exactly once per
+  /// op, in the scheduled order.
   template <typename TreeT, typename Op, typename Resolve, typename ServeFn>
   void run(const TreeT& tree, std::span<Op> ops, Resolve&& resolve,
            ServeFn&& serve) {
@@ -95,12 +86,7 @@ class LocalityScheduler {
     for (size_t base = 0; base < ops.size(); base += w) {
       std::span<Op> win = ops.subspan(base, std::min(w, ops.size() - base));
       reorder(tree, win, resolve);
-      const size_t g = static_cast<size_t>(cfg_.group);
-      for (size_t gb = 0; gb < win.size(); gb += g) {
-        std::span<Op> grp = win.subspan(gb, std::min(g, win.size() - gb));
-        warm(tree, grp, resolve);
-        for (Op& op : grp) serve(op);
-      }
+      for (Op& op : win) serve(op);
     }
   }
 
@@ -113,37 +99,15 @@ class LocalityScheduler {
     const size_t m = ops.size();
     if (m < 2) return;
     keys_.assign(m, 0);
-    us_.clear();
-    vs_.clear();
-    slots_.clear();
     const NodeId root = tree.root();
     for (size_t i = 0; i < m; ++i) {
       const ScheduleEndpoints ep = resolve(ops[i]);
       if (ep.u == kNoNode) continue;  // foreign op: key 0, stable floor
-      us_.push_back(ep.u);
-      vs_.push_back(ep.v == kNoNode ? root : ep.v);
-      slots_.push_back(i);
-    }
-    lcas_.resize(us_.size());
-    if constexpr (requires {
-                    tree.path_info_batch(std::span<const NodeId>{},
-                                         std::span<const NodeId>{},
-                                         std::span<PathInfo>{}, 1);
-                  }) {
-      infos_.resize(us_.size());
-      tree.path_info_batch(us_, vs_, infos_, cfg_.group);
-      for (size_t j = 0; j < infos_.size(); ++j) lcas_[j] = infos_[j].lca;
-    } else {
-      for (size_t j = 0; j < us_.size(); ++j)
-        lcas_[j] = tree.lca(us_[j], vs_[j]);
-    }
-    for (size_t j = 0; j < slots_.size(); ++j) {
-      const std::uint64_t lo =
-          static_cast<std::uint32_t>(std::min(us_[j], vs_[j]));
-      keys_[slots_[j]] =
-          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(lcas_[j]))
-           << 32) |
-          lo;
+      const NodeId v = ep.v == kNoNode ? root : ep.v;
+      keys_[i] = (static_cast<std::uint64_t>(
+                      static_cast<std::uint32_t>(tree.lca(ep.u, v)))
+                  << 32) |
+                 static_cast<std::uint32_t>(std::min(ep.u, v));
     }
     order_.resize(m);
     std::iota(order_.begin(), order_.end(), size_t{0});
@@ -172,26 +136,9 @@ class LocalityScheduler {
   }
 
  private:
-  template <typename TreeT, typename Op, typename Resolve>
-  void warm(const TreeT& tree, std::span<Op> ops, Resolve&& resolve) {
-    if constexpr (requires { tree.warm_root_paths(std::span<const NodeId>{}); }) {
-      warm_ids_.clear();
-      for (Op& op : ops) {
-        const ScheduleEndpoints ep = resolve(op);
-        if (ep.u == kNoNode) continue;
-        warm_ids_.push_back(ep.u);
-        if (ep.v != kNoNode && ep.v != ep.u) warm_ids_.push_back(ep.v);
-      }
-      tree.warm_root_paths(warm_ids_);
-    }
-  }
-
   ScheduleConfig cfg_;
   Cost reordered_ = 0;
   std::vector<std::uint64_t> keys_;
-  std::vector<NodeId> us_, vs_, lcas_, warm_ids_;
-  std::vector<size_t> slots_;
-  std::vector<PathInfo> infos_;
   std::vector<size_t> order_;
 };
 

@@ -18,9 +18,13 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Seeds the per-worker deterministic backoff schedule between handover
+/// retries.
+constexpr std::uint64_t kBackoffSeed = 0x5EED;
+
 /// splitmix64, the deterministic stream behind handover-retry backoff
 /// jitter. Stable across platforms so a backoff schedule is a pure
-/// function of (backoff_seed, worker slot).
+/// function of (kBackoffSeed, worker slot).
 std::uint64_t splitmix64(std::uint64_t& state) {
   std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
@@ -301,7 +305,7 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
     KArySplayNet* shard = nullptr;
     std::uint64_t seen_epoch = ~std::uint64_t{0};
     std::uint64_t rng =
-        opt_.backoff_seed ^
+        kBackoffSeed ^
         (0x9E3779B97F4A7C15ull * (static_cast<std::uint64_t>(w) + 1));
     // Deterministic backoff between handover retries: exponential base
     // plus seeded jitter, microseconds-scale so retry exhaustion resolves
@@ -469,7 +473,6 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
       return {u, map.local_of(item.dst)};
     };
     LocalityScheduler scheduler(opt_.schedule);
-    const bool reorder = opt_.schedule.reorders();
     for (;;) {
       batch.clear();
       if (inbox.pop_batch(batch,
@@ -486,12 +489,8 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
         my_shard = owned[static_cast<std::size_t>(w)];
         shard = &net_.shard(my_shard);
       }
-      if (!reorder) {
-        for (const QueueItem& item : batch) process_item(item);
-      } else {
-        scheduler.run(shard->tree(), std::span<QueueItem>(batch), resolve,
-                      process_item);
-      }
+      scheduler.run(shard->tree(), std::span<QueueItem>(batch), resolve,
+                    process_item);
     }
   };
 

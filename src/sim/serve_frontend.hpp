@@ -137,9 +137,6 @@ struct FrontendOptions {
   /// Bounded retries of a full handover push before the leg is shed
   /// (kShed/kDeadline only).
   int handover_retries = 3;
-  /// Seeds the per-worker deterministic backoff schedule between handover
-  /// retries.
-  std::uint64_t backoff_seed = 0x5EED;
   /// Consecutive handover-retry exhaustions against one shard that trip
   /// its circuit breaker (which then sheds cross legs outright and
   /// half-opens on a probe cadence). Must be >= 1.

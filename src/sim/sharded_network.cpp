@@ -112,6 +112,25 @@ void ShardedNetwork::append_edges(int shard,
   }
 }
 
+namespace {
+
+/// Edge count of the static complete k-ary top tree over S slots.
+Cost top_edge_count(int S) { return S > 1 ? static_cast<Cost>(S - 1) : 0; }
+
+/// Links in exactly one of two edge listings (append_edges encoding): the
+/// edges a rebuild rewired. Sorts both listings in place.
+Cost rewired_edges(std::vector<std::uint64_t>& before,
+                   std::vector<std::uint64_t>& after) {
+  std::sort(before.begin(), before.end());
+  std::sort(after.begin(), after.end());
+  std::vector<std::uint64_t> diff;
+  std::set_symmetric_difference(before.begin(), before.end(), after.begin(),
+                                after.end(), std::back_inserter(diff));
+  return static_cast<Cost>(diff.size());
+}
+
+}  // namespace
+
 MigrationResult ShardedNetwork::apply_migrations(std::vector<Migration> batch) {
   MigrationResult res;
 
@@ -187,22 +206,10 @@ MigrationResult ShardedNetwork::apply_migrations(std::vector<Migration> batch) {
   for (int s = 0; s < map_.shards(); ++s)
     if (affected[static_cast<std::size_t>(s)]) append_edges(s, after);
 
-  std::sort(before.begin(), before.end());
-  std::sort(after.begin(), after.end());
-  std::vector<std::uint64_t> diff;
-  std::set_symmetric_difference(before.begin(), before.end(), after.begin(),
-                                after.end(), std::back_inserter(diff));
-  res.relink_edges = static_cast<Cost>(diff.size());
+  res.relink_edges = rewired_edges(before, after);
   res.migrated = static_cast<int>(batch.size());
   return res;
 }
-
-namespace {
-
-/// Edge count of the static complete k-ary top tree over S slots.
-Cost top_edge_count(int S) { return S > 1 ? static_cast<Cost>(S - 1) : 0; }
-
-}  // namespace
 
 LifecycleResult ShardedNetwork::split_shard(int s) {
   check_shard(s, "split_shard");
@@ -230,12 +237,7 @@ LifecycleResult ShardedNetwork::split_shard(int s) {
 
   append_edges(s, after);
   append_edges(fresh, after);
-  std::sort(before.begin(), before.end());
-  std::sort(after.begin(), after.end());
-  std::vector<std::uint64_t> diff;
-  std::set_symmetric_difference(before.begin(), before.end(), after.begin(),
-                                after.end(), std::back_inserter(diff));
-  res.relink_edges = static_cast<Cost>(diff.size());
+  res.relink_edges = rewired_edges(before, after);
   res.shard = fresh;
   return res;
 }
@@ -262,12 +264,7 @@ LifecycleResult ShardedNetwork::merge_shards(int into, int from) {
   res.top_edges += top_edge_count(map_.shards());
 
   append_edges(at, after);
-  std::sort(before.begin(), before.end());
-  std::sort(after.begin(), after.end());
-  std::vector<std::uint64_t> diff;
-  std::set_symmetric_difference(before.begin(), before.end(), after.begin(),
-                                after.end(), std::back_inserter(diff));
-  res.relink_edges = static_cast<Cost>(diff.size());
+  res.relink_edges = rewired_edges(before, after);
   res.shard = at;
   return res;
 }

@@ -130,8 +130,8 @@ namespace detail {
 
 /// Resolves the tree a LocalityScheduler should key against for a given
 /// network type: the underlying KAryTree where one exists, or the
-/// BinarySplayNet itself (it satisfies the scheduler's scalar lca()/root()
-/// fallback). A network with no single schedulable tree (ShardedNetwork —
+/// BinarySplayNet itself (it has the lca() and root() the scheduler keys
+/// with). A network with no single schedulable tree (ShardedNetwork —
 /// use run_trace_sharded) fails kHasScheduleTree and gets a runtime error
 /// instead.
 template <typename Net>
@@ -170,56 +170,47 @@ decltype(auto) schedule_tree(Net& net) {
 /// `ServeResult serve(NodeId, NodeId)` member (every concrete network and
 /// ShardedNetwork alike).
 ///
-/// `sched` selects the intra-chunk serve order (sim/schedule.hpp). The
-/// default FIFO path is the pre-scheduler loop, untouched; kLocality
-/// reorders within windows of each chunk and throws for network types with
-/// no schedulable tree (ShardedNetwork — use run_trace_sharded).
+/// `sched` selects the intra-chunk serve order (sim/schedule.hpp): FIFO
+/// serves each chunk in arrival order; kLocality reorders within windows of
+/// each chunk and throws for network types with no schedulable tree
+/// (ShardedNetwork — use run_trace_sharded).
 template <typename Net>
 SimResult run_trace_stream(Net& net, RequestStream& stream,
                            const ScheduleConfig& sched = {}) {
-  sched.validate();
+  LocalityScheduler scheduler(sched);  // validates sched
+  if constexpr (!detail::kHasScheduleTree<Net>) {
+    if (sched.reorders())
+      throw TreeError(
+          "locality schedule is not supported for this network type "
+          "(no schedulable tree; sharded runs go through run_trace_sharded)");
+  }
   SimResult res;
   res.schedule = sched.policy;
   Cost cross_before = 0;
   if constexpr (requires { net.cross_shard_served(); })
     cross_before = net.cross_shard_served();
   std::vector<Request> chunk(kStreamChunkRequests);
-  if (!sched.reorders()) {
-    while (true) {
-      const std::size_t got = stream.fill(chunk);
-      if (got == 0) break;
-      for (std::size_t i = 0; i < got; ++i) {
-        const ServeResult s = net.serve(chunk[i].src, chunk[i].dst);
-        res.routing_cost += s.routing_cost;
-        res.rotation_count += s.rotations;
-        res.edge_changes += s.edge_changes;
-      }
-      res.requests += got;
+  const auto serve_one = [&](const Request& r) {
+    const ServeResult s = net.serve(r.src, r.dst);
+    res.routing_cost += s.routing_cost;
+    res.rotation_count += s.rotations;
+    res.edge_changes += s.edge_changes;
+  };
+  while (true) {
+    const std::size_t got = stream.fill(chunk);
+    if (got == 0) break;
+    const std::span<Request> reqs(chunk.data(), got);
+    if constexpr (detail::kHasScheduleTree<Net>) {
+      scheduler.run(
+          detail::schedule_tree(net), reqs,
+          [](const Request& r) { return ScheduleEndpoints{r.src, r.dst}; },
+          serve_one);
+    } else {
+      for (const Request& r : reqs) serve_one(r);
     }
-  } else if constexpr (detail::kHasScheduleTree<Net>) {
-    LocalityScheduler scheduler(sched);
-    const auto resolve = [](const Request& r) {
-      return ScheduleEndpoints{r.src, r.dst};
-    };
-    const auto serve_one = [&](const Request& r) {
-      const ServeResult s = net.serve(r.src, r.dst);
-      res.routing_cost += s.routing_cost;
-      res.rotation_count += s.rotations;
-      res.edge_changes += s.edge_changes;
-    };
-    while (true) {
-      const std::size_t got = stream.fill(chunk);
-      if (got == 0) break;
-      scheduler.run(detail::schedule_tree(net),
-                    std::span<Request>(chunk.data(), got), resolve, serve_one);
-      res.requests += got;
-    }
-    res.reordered_requests = scheduler.reordered();
-  } else {
-    throw TreeError(
-        "locality schedule is not supported for this network type "
-        "(no schedulable tree; sharded runs go through run_trace_sharded)");
+    res.requests += got;
   }
+  res.reordered_requests = scheduler.reordered();
   if constexpr (requires { net.cross_shard_served(); })
     res.cross_shard = net.cross_shard_served() - cross_before;
   return res;
@@ -243,8 +234,8 @@ SimResult run_trace_stream(AnyNetwork& net, RequestStream& stream,
 /// Static-tree shortcut (used by benches to cost a fixed topology against
 /// a long trace). Locality scheduling is supported and provably
 /// cost-neutral here — a static tree never rotates, so total cost is
-/// order-invariant; the reorder + prefetched path_info_batch walk is a
-/// pure throughput play.
+/// order-invariant; the reorder only changes which paths are walked
+/// back to back.
 SimResult run_trace_static(const KAryTree& tree, const Trace& trace,
                            const ScheduleConfig& sched = {});
 

@@ -1,8 +1,8 @@
 // Property fuzz: randomized serve/access/rotation sequences interleaved
 // with full audits. Seeded and deterministic (tier1). Invariants beyond
 // validate()'s structural/search-property checks:
-//   * path queries: path_info / lca / distance / is_ancestor / route_into /
-//     path_info_batch, all O(distance) range climbs, agree with an
+//   * path queries: path_info / lca / distance / is_ancestor / route_into,
+//     all O(distance) range climbs, agree with an
 //     independent depth-equalising parent-chase oracle on saturated and
 //     unsaturated (keyless-node) trees, for every endpoint relation;
 //   * lo/hi ranges: recomputed top-down from the keys alone, they must
@@ -224,7 +224,7 @@ TEST(FuzzInvariants, PathQueriesMatchDepthOracle) {
                                              n, std::max(2, k - 1), rng))
                        : build_from_shape(k, make_random_shape(n, k, rng));
       std::uniform_int_distribution<NodeId> pick(1, n);
-      std::vector<NodeId> route, us, vs;
+      std::vector<NodeId> route;
       int kinds[4] = {0, 0, 0, 0};  // u == v, u above v, v above u, apart
       for (int i = 0; i < 2000; ++i) {
         const NodeId x = pick(rng);
@@ -251,19 +251,6 @@ TEST(FuzzInvariants, PathQueriesMatchDepthOracle) {
         // Count the relation the pair really has.
         const NodeId lca = oracle_path(t, u, v).lca;
         ++kinds[u == v ? 0 : lca == u ? 1 : lca == v ? 2 : 3];
-        us.push_back(u);
-        vs.push_back(v);
-        if (us.size() == 13) {  // not a multiple of the batch group
-          std::vector<PathInfo> batch(us.size());
-          t.path_info_batch(us, vs, batch, /*group=*/4);
-          for (size_t j = 0; j < us.size(); ++j) {
-            const PathInfo want = oracle_path(t, us[j], vs[j]);
-            ASSERT_EQ(batch[j].lca, want.lca) << "lane " << j;
-            ASSERT_EQ(batch[j].distance, want.distance) << "lane " << j;
-          }
-          us.clear();
-          vs.clear();
-        }
       }
       for (const int c : kinds)
         EXPECT_GT(c, 50) << "k=" << k << " sparse=" << sparse;
@@ -290,9 +277,6 @@ TEST(FuzzInvariants, PathQueriesRejectForests) {
     EXPECT_THROW(t.is_ancestor(u, v), TreeError) << u << "->" << v;
     EXPECT_THROW(t.route_into(u, v, route), TreeError) << u << "->" << v;
   }
-  std::vector<NodeId> us = {1, 1}, vs = {2, 3};
-  std::vector<PathInfo> out(2);
-  EXPECT_THROW(t.path_info_batch(us, vs, out), TreeError);
   // Within a component the queries still answer.
   EXPECT_EQ(t.path_info(1, 2).lca, 2);
   EXPECT_EQ(t.distance(3, 4), 1);
