@@ -94,9 +94,7 @@ void run_kary_table(WorkloadKind kind, const PaperKaryTable& paper,
     KArySplayNet net = KArySplayNet::balanced(k, n);
     SimResult online;
     for (const Request& r : trace.requests) {
-      const ServeResult s = net.serve(r.src, r.dst);
-      online.routing_cost += s.routing_cost;
-      online.rotation_count += s.rotations;
+      online.charge(net.serve(r.src, r.dst));
       ++online.requests;
     }
     splay_total[static_cast<size_t>(k)] = online.total_cost();

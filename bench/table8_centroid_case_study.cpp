@@ -51,9 +51,7 @@ void run_row(const RowSpec& spec, Table& out) {
   CentroidSplayNet centroid(2, n);
   SimResult c_res;
   for (const Request& r : trace.requests) {
-    const ServeResult s = centroid.serve(r.src, r.dst);
-    c_res.routing_cost += s.routing_cost;
-    c_res.rotation_count += s.rotations;
+    c_res.charge(centroid.serve(r.src, r.dst));
     ++c_res.requests;
   }
 

@@ -589,10 +589,8 @@ int main(int argc, char** argv) {
         net.visit([&](auto& nw) {
           for (const Request& r : trace->requests) {
             const ServeResult sr = nw.serve(r.src, r.dst);
-            series.add(sr.routing_cost + sr.rotations);
-            res.routing_cost += sr.routing_cost;
-            res.rotation_count += sr.rotations;
-            res.edge_changes += sr.edge_changes;
+            series.add(sr.total_cost());
+            res.charge(sr);
           }
         });
         res.requests = trace->size();

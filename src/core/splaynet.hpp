@@ -25,6 +25,9 @@ struct ServeResult {
   int parent_changes = 0;
   int edge_changes = 0;  ///< links added + removed (Section 2 adjustment)
 
+  /// Experimental-section cost of this op: unit routing + unit rotation.
+  Cost total_cost() const { return routing_cost + rotations; }
+
   friend bool operator==(const ServeResult&, const ServeResult&) = default;
 };
 

@@ -9,29 +9,16 @@ ShardDrain drain_shard(KArySplayNet& shard, KArySplayNet* replica,
                        std::vector<ShardOp>& ops,
                        const ScheduleConfig& sched) {
   ShardDrain res;
-  const auto serve_one = [&](const ShardOp& op) {
-    ServeResult s;
-    if (op.is_ascent()) {
-      s = shard.access(op.src);
-      if (replica != nullptr) replica->access(op.src);
-    } else if (replica != nullptr) {
-      s = replica->serve(op.src, op.dst);
-      shard.serve(op.src, op.dst);
-      ++res.sim.replica_reads;
-    } else {
-      s = shard.serve(op.src, op.dst);
-    }
-    res.sim.routing_cost += s.routing_cost;
-    res.sim.rotation_count += s.rotations;
-    res.sim.edge_changes += s.edge_changes;
-    if (op.is_ascent())
-      res.ascent_cost += s.routing_cost + static_cast<Cost>(s.rotations);
-  };
   LocalityScheduler scheduler(sched);
   scheduler.run(
       shard.tree(), std::span<ShardOp>(ops),
       [](const ShardOp& op) { return ScheduleEndpoints{op.src, op.dst}; },
-      serve_one);
+      [&](const ShardOp& op) {
+        const ServeResult s =
+            serve_shard_op(shard, replica, op, res.sim.replica_reads);
+        res.sim.charge(s);
+        if (op.is_ascent()) res.ascent_cost += s.total_cost();
+      });
   res.sim.reordered_requests = scheduler.reordered();
   return res;
 }
@@ -168,7 +155,7 @@ void RecoveryLog::recover(ShardedNetwork& net, int shard,
     const ShardDrain replay =
         drain_shard(net.shard(shard), nullptr, ops, schedule);
     res.recovery_replayed += static_cast<Cost>(ops.size());
-    res.recovery_cost += replay.sim.routing_cost + replay.sim.rotation_count;
+    res.recovery_cost += replay.sim.total_cost();
   }
   book_recovery_time(res, t0);
 }

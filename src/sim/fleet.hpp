@@ -65,18 +65,13 @@ struct ShardDrain {
   Cost ascent_cost = 0;  ///< routing + rotations of the ascent ops alone
 };
 
-/// Serves one shard's op queue in the scheduled order. Ops are local-id
-/// pairs; an ascent op (cross-shard half-request) splays its node to the
-/// shard root and is charged the pre-adjustment depth — exactly what
-/// ShardedNetwork::serve does inline, so pipeline and per-request paths
-/// cannot diverge. Under FIFO the queue is served untouched; kLocality
-/// reorders within windows of this shard's own queue (shards share
-/// nothing, so the sequential/concurrent bit-identity is preserved).
-///
-/// `replica` (null when the shard is unreplicated) is the shard's
-/// lockstep copy: intra ops are answered from it — bit-identical results,
-/// costs charged once, counted as replica reads — and every op is
-/// mirrored so primary and replica never diverge.
+/// Serves one shard's op queue in the scheduled order, each op through
+/// serve_shard_op — the rule ShardedNetwork::serve and the frontend
+/// workers apply too, so the pipeline and per-request paths cannot
+/// diverge. `replica` is the shard's lockstep copy, or null. Under FIFO
+/// the queue is served untouched; kLocality reorders within windows of
+/// this shard's own queue (shards share nothing, so the
+/// sequential/concurrent bit-identity is preserved).
 ShardDrain drain_shard(KArySplayNet& shard, KArySplayNet* replica,
                        std::vector<ShardOp>& ops, const ScheduleConfig& sched);
 

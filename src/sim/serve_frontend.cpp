@@ -172,21 +172,15 @@ class ShardInbox {
 /// The trailing histograms make the struct large enough that neighbouring
 /// workers' hot counters do not share a cache line.
 struct WorkerState {
-  Cost routing = 0;
-  Cost rotations = 0;
-  Cost edges = 0;
+  /// Serve counters plus this worker's replica reads, reordered ops and
+  /// dequeue/handover sheds (deadline_expired, cross_shed, breaker_trips).
+  SimResult sim;
   /// Measured cross/intra split feeding the fleet controller's cost
   /// model (ascents + top legs vs local serves; cross_requests counts
   /// completed second legs), same convention as the batch pipeline.
   CostSplit split;
-  Cost replica_reads = 0;          ///< intra serves answered by the replica
   std::size_t handovers = 0;
   std::size_t forwards = 0;
-  Cost reordered = 0;  ///< batch slots permuted by the locality schedule
-  Cost deadline_expired = 0;  ///< shed at dequeue, pre-mutation
-  Cost cross_shed = 0;        ///< handover/forward legs shed by the
-                              ///< breaker or retry exhaustion
-  Cost breaker_trips = 0;
   std::uint64_t probe_clock = 0;  ///< half-open probe cadence counter
   LatencyHistogram sojourn;
   LatencyHistogram queue_wait;
@@ -363,98 +357,72 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
           opt_.breaker_threshold) {
         int expect = kBreakerClosed;
         if (st.compare_exchange_strong(expect, kBreakerOpen))
-          ++ws.breaker_trips;
+          ++ws.sim.breaker_trips;
       }
       return false;
     };
     std::vector<QueueItem> batch;
     batch.reserve(static_cast<std::size_t>(opt_.admission_batch));
+    auto complete = [&](const QueueItem& item) {
+      ws.sojourn.record(now_ns() - item.arrival_ns);
+      completed.fetch_add(1, std::memory_order_release);
+    };
     auto process_item = [&](const QueueItem& item) {
       const ShardMap& map = net_.map();
-      if (item.is_handover()) {
-        // Second leg of a cross-shard request: ascend v, charge the
-        // accumulated top-tree legs, complete.
-        const int home = map.shard_of(item.src);
-        if (home != my_shard) {  // lost a race with a migration: forward
-          QueueItem fwd = item;
+      const int home = map.shard_of(item.src);
+      if (home != my_shard) {
+        // Lost a race with a migration: forward to the node's new shard (a
+        // handover leg prices in the extra top-tree hop).
+        QueueItem fwd = item;
+        if (item.is_handover())
           fwd.pending_top += net_.top_distance(my_shard, home);
-          ++ws.forwards;
-          if (!deliver(home, fwd)) {
-            ++ws.cross_shed;
-            shed_item(fwd);
-          }
+        ++ws.forwards;
+        if (!deliver(home, fwd)) {
+          ++ws.sim.cross_shed;
+          shed_item(fwd);
+        }
+        return;
+      }
+      int b = my_shard;  // a handover's second leg ends here
+      if (!item.is_handover()) {
+        // Deadline shed at dequeue, before any tree mutation: a request
+        // that expired while queued never touches state.
+        if (item.deadline_ns != 0 && now_ns() > item.deadline_ns) {
+          ++ws.sim.deadline_expired;
+          shed_item(item);
           return;
         }
-        const ServeResult sr = shard->access(map.local_of(item.src));
-        if (KArySplayNet* rep = net_.replica_mut(my_shard))
-          rep->access(map.local_of(item.src));
-        ws.routing += sr.routing_cost + item.pending_top;
-        ws.rotations += sr.rotations;
-        ws.edges += sr.edge_changes;
-        ws.split.cross_cost += sr.routing_cost +
-                               static_cast<Cost>(sr.rotations) +
-                               item.pending_top;
-        ++ws.split.cross_requests;
-        ws.sojourn.record(now_ns() - item.arrival_ns);
-        completed.fetch_add(1, std::memory_order_release);
-        return;
+        ws.queue_wait.record(now_ns() - item.arrival_ns);
+        b = map.shard_of(item.dst);
       }
-      const int a = map.shard_of(item.src);
-      if (a != my_shard) {  // fresh item whose source migrated away
-        ++ws.forwards;
-        if (!deliver(a, item)) {
-          ++ws.cross_shed;
-          shed_item(item);
-        }
-        return;
-      }
-      // Deadline shed at dequeue, before any tree mutation: a request
-      // that expired while queued never touches state.
-      if (item.deadline_ns != 0 && now_ns() > item.deadline_ns) {
-        ++ws.deadline_expired;
-        shed_item(item);
-        return;
-      }
-      ws.queue_wait.record(now_ns() - item.arrival_ns);
-      const int b = map.shard_of(item.dst);
-      if (b == my_shard) {
-        // A replicated shard answers intra requests from its lockstep
-        // replica (bit-identical results — the pair never diverges) and
-        // mirrors the splay into the primary; cost is charged once.
-        ServeResult sr;
-        if (KArySplayNet* rep = net_.replica_mut(my_shard)) {
-          sr = rep->serve(map.local_of(item.src), map.local_of(item.dst));
-          shard->serve(map.local_of(item.src), map.local_of(item.dst));
-          ++ws.replica_reads;
-        } else {
-          sr = shard->serve(map.local_of(item.src), map.local_of(item.dst));
-        }
-        ws.routing += sr.routing_cost;
-        ws.rotations += sr.rotations;
-        ws.edges += sr.edge_changes;
-        ws.split.intra_cost +=
-            sr.routing_cost + static_cast<Cost>(sr.rotations);
+      const bool intra = !item.is_handover() && b == my_shard;
+      const ServeResult sr = serve_shard_op(
+          *shard, net_.replica_mut(my_shard),
+          {map.local_of(item.src), intra ? map.local_of(item.dst) : kNoNode},
+          ws.sim.replica_reads);
+      ws.sim.charge(sr);
+      if (intra) {
+        ws.split.intra_cost += sr.total_cost();
         ++ws.split.intra_requests;
-        ws.sojourn.record(now_ns() - item.arrival_ns);
-        completed.fetch_add(1, std::memory_order_release);
+        complete(item);
+      } else if (item.is_handover()) {
+        // Second leg of a cross-shard request: v ascended; charge the
+        // accumulated top-tree legs and complete.
+        ws.sim.routing_cost += item.pending_top;
+        ws.split.cross_cost += sr.total_cost() + item.pending_top;
+        ++ws.split.cross_requests;
+        complete(item);
       } else {
-        // First leg: ascend u to this shard's root, hand the request
+        // First leg: u ascended to this shard's root; hand the request
         // over to v's shard with the top-tree route priced in.
-        const ServeResult sr = shard->access(map.local_of(item.src));
-        if (KArySplayNet* rep = net_.replica_mut(my_shard))
-          rep->access(map.local_of(item.src));
-        ws.routing += sr.routing_cost;
-        ws.rotations += sr.rotations;
-        ws.edges += sr.edge_changes;
-        ws.split.cross_cost +=
-            sr.routing_cost + static_cast<Cost>(sr.rotations);
+        ws.split.cross_cost += sr.total_cost();
         ++ws.handovers;
         QueueItem leg;
         leg.src = item.dst;
         leg.arrival_ns = item.arrival_ns;
         leg.pending_top = net_.top_distance(my_shard, b);
         if (!deliver(b, leg)) {
-          ++ws.cross_shed;
+          ++ws.sim.cross_shed;
           shed_item(leg);
         }
       }
@@ -480,7 +448,7 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
           0) {
         // Closed and drained. += so counters survive worker-kill respawns
         // on this slot.
-        ws.reordered += scheduler.reordered();
+        ws.sim.reordered_requests += scheduler.reordered();
         return;
       }
       const std::uint64_t e = route_epoch.load(std::memory_order_acquire);
@@ -742,16 +710,9 @@ FrontendResult ServeFrontend::run_stream(RequestStream& stream,
 
   // ---- aggregation ----------------------------------------------------
   for (const WorkerState& ws : workers) {
-    res.sim.routing_cost += ws.routing;
-    res.sim.rotation_count += ws.rotations;
-    res.sim.edge_changes += ws.edges;
-    res.sim.replica_reads += ws.replica_reads;
+    res.sim += ws.sim;
     res.handovers += ws.handovers;
     res.forwards += ws.forwards;
-    res.sim.reordered_requests += ws.reordered;
-    res.sim.deadline_expired += ws.deadline_expired;
-    res.sim.cross_shed += ws.cross_shed;
-    res.sim.breaker_trips += ws.breaker_trips;
     res.sojourn.merge(ws.sojourn);
     res.queue_wait.merge(ws.queue_wait);
     res.shed.merge(ws.shed);

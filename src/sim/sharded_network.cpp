@@ -64,26 +64,17 @@ ShardedNetwork ShardedNetwork::balanced(int k, int n, int shards,
 ServeResult ShardedNetwork::serve(NodeId u, NodeId v) {
   const int a = map_.shard_of(u);
   const int b = map_.shard_of(v);
-  if (a == b) {
-    // Intra-shard ops are the read path: a replicated shard answers from
-    // its lockstep copy (bit-identical by construction) and mirrors the
-    // self-adjustment into the primary, charging the cost once.
-    if (KArySplayNet* rep = replica_mut(a)) {
-      const ServeResult r = rep->serve(map_.local_of(u), map_.local_of(v));
-      shard(a).serve(map_.local_of(u), map_.local_of(v));
-      ++replica_reads_;
-      return r;
-    }
-    return shard(a).serve(map_.local_of(u), map_.local_of(v));
-  }
+  if (a == b)
+    return serve_shard_op(shard(a), replica_mut(a),
+                          {map_.local_of(u), map_.local_of(v)}, replica_reads_);
 
   ++cross_served_;
-  // Root ascents are the write/splay path: primary-first, mirrored into
-  // the replica so the pair stays staleness-free.
-  const ServeResult up = shard(a).access(map_.local_of(u));
-  if (KArySplayNet* rep = replica_mut(a)) rep->access(map_.local_of(u));
-  const ServeResult down = shard(b).access(map_.local_of(v));
-  if (KArySplayNet* rep = replica_mut(b)) rep->access(map_.local_of(v));
+  const ServeResult up = serve_shard_op(shard(a), replica_mut(a),
+                                        {map_.local_of(u), kNoNode},
+                                        replica_reads_);
+  const ServeResult down = serve_shard_op(shard(b), replica_mut(b),
+                                          {map_.local_of(v), kNoNode},
+                                          replica_reads_);
   ServeResult res;
   res.routing_cost = up.routing_cost + top_distance(a, b) + down.routing_cost;
   res.rotations = up.rotations + down.rotations;

@@ -65,6 +65,27 @@ struct LifecycleResult {
   Cost total_cost() const { return relink_edges + top_edges; }
 };
 
+/// The replica lockstep rule: serves one op on one shard, in local ids,
+/// and is the only code that touches a replica's tree. An ascent op (a
+/// cross-shard half-request) is the write path: it splays the primary and
+/// is mirrored into the replica. An intra-shard op is the read path: a
+/// replica answers it (bit-identical by construction), the primary
+/// mirrors it, and `replica_reads` counts it. Without a replica the
+/// primary serves alone. The returned cost is charged once.
+inline ServeResult serve_shard_op(KArySplayNet& primary, KArySplayNet* replica,
+                                  const ShardOp& op, Cost& replica_reads) {
+  if (op.is_ascent()) {
+    const ServeResult r = primary.access(op.src);
+    if (replica != nullptr) replica->access(op.src);
+    return r;
+  }
+  if (replica == nullptr) return primary.serve(op.src, op.dst);
+  const ServeResult r = replica->serve(op.src, op.dst);
+  primary.serve(op.src, op.dst);
+  ++replica_reads;
+  return r;
+}
+
 class ShardedNetwork {
  public:
   /// Builds balanced per-shard trees of arity `k` over `map`'s shards.
@@ -144,12 +165,10 @@ class ShardedNetwork {
   LifecycleResult merge_shards(int into, int from);
 
   // ---- read replicas --------------------------------------------------
-  // A replica is a lockstep state-machine copy of its primary: the drain
-  // paths mirror every op into it, so it is staleness-free by construction
-  // — intra-shard ops ("reads") are answered from the replica copy with
-  // bit-identical ServeResults, ascent ops ("writes"/splays) run
-  // primary-first, and costs are charged exactly once. A replicated shard
-  // also recovers from a crash by promotion instead of snapshot replay.
+  // A replica is a lockstep state-machine copy of its primary: every serve
+  // path goes through serve_shard_op, which mirrors each op into it, so it
+  // is staleness-free by construction. A replicated shard also recovers
+  // from a crash by promotion instead of snapshot replay.
 
   /// Attaches a replica to shard `s` (a copy of its current tree);
   /// replaces any existing one.
@@ -160,13 +179,14 @@ class ShardedNetwork {
   }
   int num_replicas() const;
   const KArySplayNet& replica(int s) const;
-  /// Mutable replica pointer for the drain paths (null when the shard is
+  /// Mutable replica pointer for serve_shard_op (null when the shard is
   /// unreplicated). The owning drain worker is the only writer.
   KArySplayNet* replica_mut(int s) {
     return replicas_[static_cast<std::size_t>(s)].get();
   }
-  /// Intra-shard ops answered from a replica by serve() (the drain
-  /// pipelines count their own into SimResult::replica_reads).
+  /// Intra-shard ops answered from a replica by serve(); run_trace
+  /// snapshots the delta into SimResult::replica_reads (the drain
+  /// pipelines count their own).
   Cost replica_reads_served() const { return replica_reads_; }
 
   // ---- crash recovery -------------------------------------------------

@@ -9,6 +9,38 @@
 
 namespace san {
 
+SimResult& SimResult::operator+=(const SimResult& o) {
+  routing_cost += o.routing_cost;
+  rotation_count += o.rotation_count;
+  edge_changes += o.edge_changes;
+  cross_shard += o.cross_shard;
+  requests += o.requests;
+  rebalance_epochs += o.rebalance_epochs;
+  migrations += o.migrations;
+  migration_cost += o.migration_cost;
+  shard_splits += o.shard_splits;
+  shard_merges += o.shard_merges;
+  lifecycle_cost += o.lifecycle_cost;
+  replica_reads += o.replica_reads;
+  faults_injected += o.faults_injected;
+  replica_promotions += o.replica_promotions;
+  recovery_replayed += o.recovery_replayed;
+  recovery_cost += o.recovery_cost;
+  recovery_total_ms += o.recovery_total_ms;
+  recovery_max_ms = std::max(recovery_max_ms, o.recovery_max_ms);
+  worker_kills += o.worker_kills;
+  queue_pressure_events += o.queue_pressure_events;
+  shed_requests += o.shed_requests;
+  shed_queue_full += o.shed_queue_full;
+  shed_throttled += o.shed_throttled;
+  deadline_expired += o.deadline_expired;
+  cross_shed += o.cross_shed;
+  queue_full_blocks += o.queue_full_blocks;
+  breaker_trips += o.breaker_trips;
+  reordered_requests += o.reordered_requests;
+  return *this;
+}
+
 SimResult run_trace(AnyNetwork& net, const Trace& trace,
                     const ScheduleConfig& sched) {
   return net.visit([&](auto& n) { return run_trace(n, trace, sched); });
@@ -82,12 +114,8 @@ CostSplit drain_chunk(ShardedNetwork& net, std::span<const Request> chunk,
   Cost total = 0, ascents = 0;
   for (int s = 0; s < S; ++s) {
     const ShardDrain& p = partial[static_cast<std::size_t>(s)];
-    res.routing_cost += p.sim.routing_cost;
-    res.rotation_count += p.sim.rotation_count;
-    res.edge_changes += p.sim.edge_changes;
-    res.reordered_requests += p.sim.reordered_requests;
-    res.replica_reads += p.sim.replica_reads;
-    total += p.sim.routing_cost + p.sim.rotation_count;
+    res += p.sim;
+    total += p.sim.total_cost();
     ascents += p.ascent_cost;
   }
   split.cross_cost = ascents;

@@ -98,10 +98,26 @@ struct SimResult {
 
   // Batch-scheduling accounting (sim/schedule.hpp). `schedule` records the
   // policy the run was served under so bench JSON and CLI rows are
-  // self-describing; `reordered_requests` counts requests whose serve
-  // position differed from their arrival position (always 0 under FIFO).
+  // self-describing; `reordered_requests` counts the served ops whose
+  // serve position differed from their arrival position (always 0 under
+  // FIFO). On sharded runs an op is one shard's share of a request — a
+  // cross-shard request's two root ascents count separately — so the
+  // count can exceed `requests`.
   SchedulePolicy schedule = SchedulePolicy::kFifo;
   Cost reordered_requests = 0;
+
+  /// Charges one served op: its routing, rotations and rewired links.
+  /// Every replay loop books serve costs through here.
+  void charge(const ServeResult& s) {
+    routing_cost += s.routing_cost;
+    rotation_count += s.rotations;
+    edge_changes += s.edge_changes;
+  }
+  /// Sums a partial result (one shard's drain, one frontend worker) into
+  /// this one: every counter adds, recovery_max_ms takes the max. The
+  /// run-level fields (schedule, post_intra_fraction, final_shards) are
+  /// the caller's and stay as they are.
+  SimResult& operator+=(const SimResult& o);
 
   /// Experimental-section total: unit routing + unit rotation cost.
   Cost total_cost() const { return routing_cost + rotation_count; }
@@ -186,15 +202,17 @@ SimResult run_trace_stream(Net& net, RequestStream& stream,
   }
   SimResult res;
   res.schedule = sched.policy;
-  Cost cross_before = 0;
-  if constexpr (requires { net.cross_shard_served(); })
+  // ShardedNetwork counts cross-shard requests and replica reads itself;
+  // the run reports what it added to them.
+  constexpr bool kCountsShardOps = requires { net.replica_reads_served(); };
+  Cost cross_before = 0, reads_before = 0;
+  if constexpr (kCountsShardOps) {
     cross_before = net.cross_shard_served();
+    reads_before = net.replica_reads_served();
+  }
   std::vector<Request> chunk(kStreamChunkRequests);
   const auto serve_one = [&](const Request& r) {
-    const ServeResult s = net.serve(r.src, r.dst);
-    res.routing_cost += s.routing_cost;
-    res.rotation_count += s.rotations;
-    res.edge_changes += s.edge_changes;
+    res.charge(net.serve(r.src, r.dst));
   };
   while (true) {
     const std::size_t got = stream.fill(chunk);
@@ -211,8 +229,10 @@ SimResult run_trace_stream(Net& net, RequestStream& stream,
     res.requests += got;
   }
   res.reordered_requests = scheduler.reordered();
-  if constexpr (requires { net.cross_shard_served(); })
+  if constexpr (kCountsShardOps) {
     res.cross_shard = net.cross_shard_served() - cross_before;
+    res.replica_reads = net.replica_reads_served() - reads_before;
+  }
   return res;
 }
 

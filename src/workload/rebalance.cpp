@@ -7,6 +7,14 @@
 namespace san {
 namespace {
 
+/// Hot pairs compared between epochs by the drift detector.
+constexpr std::size_t kDriftTopK = 32;
+/// A move must beat the migration cost estimate by this many cost units
+/// (projected over one window) to be accepted.
+constexpr double kMinGain = 0.0;
+/// Count-min rows of the kSketch tracker.
+constexpr int kSketchCmDepth = 4;
+
 std::uint64_t pair_key(NodeId u, NodeId v) { return pack_node_pair(u, v); }
 
 WindowPair unpack_pair(std::uint64_t key, double weight) {
@@ -49,10 +57,6 @@ const char* rebalance_trigger_name(RebalanceTrigger trigger) {
   switch (trigger) {
     case RebalanceTrigger::kEveryEpoch:
       return "every-epoch";
-    case RebalanceTrigger::kCrossFraction:
-      return "cross-fraction";
-    case RebalanceTrigger::kImbalance:
-      return "imbalance";
     case RebalanceTrigger::kDrift:
       return "drift";
   }
@@ -85,7 +89,7 @@ RebalanceState::RebalanceState(RebalanceConfig cfg) : cfg_(cfg) {
       throw TreeError("RebalanceState: sketch_top_k must be >= 1");
     hot_ = std::make_unique<SpaceSaving>(cfg_.sketch_top_k);
     cm_ = std::make_unique<CountMinSketch>(cfg_.sketch_cm_width,
-                                           cfg_.sketch_cm_depth);
+                                           kSketchCmDepth);
   } else {
     rebuild_index();
   }
@@ -232,7 +236,7 @@ RebalancePlan RebalanceState::epoch(const ShardMap& map,
   const std::vector<WindowPair>& entries = hot_ ? tracked : window_;
 
   // Window load per shard (each endpoint touch counts its weight), shared
-  // by the imbalance trigger and the watermark policy.
+  // by the plan's load_imbalance report and the watermark policy.
   std::vector<double> touches(static_cast<std::size_t>(map.shards()), 0.0);
   for (const WindowPair& e : entries) {
     touches[static_cast<std::size_t>(map.shard_of(e.u))] += e.weight;
@@ -258,7 +262,7 @@ RebalancePlan RebalanceState::epoch(const ShardMap& map,
   // the history stays warm across trigger changes.
   {
     std::vector<std::uint64_t> top;
-    const std::size_t k = std::min(cfg_.drift_top_k, entries.size());
+    const std::size_t k = std::min(kDriftTopK, entries.size());
     top.reserve(k);
     for (std::size_t i = 0; i < k; ++i)
       top.push_back(pair_key(entries[i].u, entries[i].v));
@@ -282,12 +286,6 @@ RebalancePlan RebalanceState::epoch(const ShardMap& map,
   switch (cfg_.trigger) {
     case RebalanceTrigger::kEveryEpoch:
       plan.triggered = true;
-      break;
-    case RebalanceTrigger::kCrossFraction:
-      plan.triggered = plan.cross_fraction > cfg_.trigger_cross_fraction;
-      break;
-    case RebalanceTrigger::kImbalance:
-      plan.triggered = plan.load_imbalance > cfg_.trigger_imbalance;
       break;
     case RebalanceTrigger::kDrift:
       plan.triggered = plan.drift > cfg_.trigger_drift;
@@ -486,7 +484,7 @@ void RebalanceState::plan_hot_pairs(const ShardMap& map,
     // Candidate moves: u joins v's shard or v joins u's. Score each by the
     // projected per-window saving (affinity gained minus affinity lost,
     // priced at the cross penalty) net of the migration cost estimate.
-    double best_gain = cfg_.min_gain;
+    double best_gain = kMinGain;
     NodeId best_node = kNoNode;
     int best_target = -1;
     for (const auto& [node, target] : {std::pair{e.u, sv}, std::pair{e.v, su}}) {

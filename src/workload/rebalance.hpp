@@ -70,17 +70,13 @@ enum class RebalancePolicy {
 };
 
 enum class RebalanceTrigger {
-  kEveryEpoch,     ///< plan at every epoch; empty plans are free
-  kCrossFraction,  ///< plan only when the window cross fraction exceeds
-                   ///< trigger_cross_fraction
-  kImbalance,      ///< plan only when the window load imbalance exceeds
-                   ///< trigger_imbalance
-  kDrift,          ///< plan only when the window's hot-pair set moved:
-                   ///< fraction of the current top-k pairs absent from the
-                   ///< previous epoch's exceeds trigger_drift. Parks the
-                   ///< rebalancer on stationary workloads (a static map
-                   ///< already is the steady-state answer there) while
-                   ///< reacting within one epoch to phase changes.
+  kEveryEpoch,  ///< plan at every epoch; empty plans are free
+  kDrift,       ///< plan only when the window's hot-pair set moved:
+                ///< fraction of the current top-k pairs absent from the
+                ///< previous epoch's exceeds trigger_drift. Parks the
+                ///< rebalancer on stationary workloads (a static map
+                ///< already is the steady-state answer there) while
+                ///< reacting within one epoch to phase changes.
 };
 
 /// How the window's pair-demand histogram is stored.
@@ -107,15 +103,9 @@ struct RebalanceConfig {
   double window_decay = 0.5;
   /// Hard cap on migrations per epoch (bounds the pause length).
   int max_migrations = 64;
-  double trigger_cross_fraction = 0.05;
-  double trigger_imbalance = 1.5;
   /// kDrift: rebalance when more than this fraction of the current top
-  /// drift_top_k pairs was absent from the previous epoch's top set.
+  /// 32 pairs was absent from the previous epoch's top set.
   double trigger_drift = 0.3;
-  std::size_t drift_top_k = 32;
-  /// A move must beat the migration cost estimate by this many cost units
-  /// (projected over one window) to be accepted.
-  double min_gain = 0.0;
   /// Cost saved per request converted from cross- to intra-shard; 0 means
   /// "derive from the engine" (top-tree route + the second root ascent).
   double cross_penalty = 0.0;
@@ -136,11 +126,10 @@ struct RebalanceConfig {
   /// planner's working set — plays the role window_capacity plays for the
   /// exact map).
   std::size_t sketch_top_k = 4096;
-  /// kSketch: count-min width (rounded up to a power of two) and depth.
-  /// Point-estimate error is ~ window_weight / width per row; the default
-  /// 2^16 x 4 costs 2 MiB of doubles.
+  /// kSketch: count-min width (rounded up to a power of two; depth is
+  /// fixed at 4 rows). Point-estimate error is ~ window_weight / width per
+  /// row; the default 2^16 x 4 costs 2 MiB of doubles.
   std::size_t sketch_cm_width = 1 << 16;
-  int sketch_cm_depth = 4;
 
   // ---- tablet-style shard lifecycle (split / merge / replicate) -------
   // Lifecycle planning rides on the same per-shard window loads the
@@ -289,7 +278,7 @@ class RebalanceState {
   /// planner's entry list; cm_ answers pair_weight() point queries.
   std::unique_ptr<SpaceSaving> hot_;
   std::unique_ptr<CountMinSketch> cm_;
-  /// Previous epoch's top drift_top_k pair keys, sorted (drift detector).
+  /// Previous epoch's top kDriftTopK pair keys, sorted (drift detector).
   std::vector<std::uint64_t> prev_top_;
   double requests_ = 0.0;
   double cross_ = 0.0;

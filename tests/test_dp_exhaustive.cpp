@@ -132,10 +132,10 @@ TEST(DpExhaustive, UniformDemandSmall) {
 
 // ---------------------------------------------------------------------------
 // Differential wall: the flat cache-blocked engine against the pre-rewrite
-// reference oracle (optimal_dp_reference.cpp, also reachable at runtime via
-// SAN_DP_REFERENCE=1). The engine re-derives reconstruction argmins with the
-// reference's exact scan order, so the comparison is stronger than the cost:
-// parent array and child slots must match node for node.
+// reference oracle (optimal_dp_reference.cpp). The engine re-derives
+// reconstruction argmins with the reference's exact scan order, so the
+// comparison is stronger than the cost: parent array and child slots must
+// match node for node.
 
 DemandMatrix random_demand(int n, std::mt19937_64& rng) {
   DemandMatrix d(n);

@@ -19,32 +19,40 @@ std::vector<std::uint64_t> saturation(std::size_t m) {
   return gen_arrival_times(ArrivalKind::kSaturation, 0.0, m, 0);
 }
 
-// Acceptance (ISSUE): open-loop at saturation reproduces batch-replay
-// total cost on a stationary workload with S = 1 and FIFO admission —
-// bit-identical, for every workload family and batch size tried. The
-// single inbox preserves trace order, so the serve sequence is the same.
+// Acceptance: open-loop at saturation reproduces batch-replay total cost
+// on a stationary workload with S = 1 and FIFO admission — bit-identical,
+// for every workload family and batch size tried, with and without a
+// replica answering the reads. The single inbox preserves trace order, so
+// the serve sequence is the same.
 TEST(Frontend, SingleShardSaturationMatchesBatchReplay) {
   const int n = 64;
   const std::size_t m = 3000;
   for (WorkloadKind kind : {WorkloadKind::kTemporal05, WorkloadKind::kHpc,
                             WorkloadKind::kProjector}) {
     const Trace trace = gen_workload(kind, n, m, 0xBEEF);
-    ShardedNetwork batch_net = ShardedNetwork::balanced(3, n, 1);
-    const SimResult batch =
-        run_trace_sharded(batch_net, trace, {.sequential = true});
-    for (int admission : {1, 64}) {
-      ShardedNetwork live_net = ShardedNetwork::balanced(3, n, 1);
-      ServeFrontend fe(live_net, {.admission_batch = admission});
-      const FrontendResult live = fe.run(trace, saturation(m));
-      const std::string what = std::string(workload_name(kind)) +
-                               " B=" + std::to_string(admission);
-      EXPECT_EQ(live.sim.routing_cost, batch.routing_cost) << what;
-      EXPECT_EQ(live.sim.rotation_count, batch.rotation_count) << what;
-      EXPECT_EQ(live.sim.edge_changes, batch.edge_changes) << what;
-      EXPECT_EQ(live.sim.total_cost(), batch.total_cost()) << what;
-      EXPECT_EQ(live.sim.requests, m) << what;
-      EXPECT_EQ(live.sim.cross_shard, 0) << what;
-      EXPECT_EQ(live.handovers, 0u) << what;
+    for (bool replicated : {false, true}) {
+      ShardedNetwork batch_net = ShardedNetwork::balanced(3, n, 1);
+      if (replicated) batch_net.add_replica(0);
+      const SimResult batch =
+          run_trace_sharded(batch_net, trace, {.sequential = true});
+      EXPECT_EQ(batch.replica_reads, replicated ? static_cast<Cost>(m) : 0);
+      for (int admission : {1, 64}) {
+        ShardedNetwork live_net = ShardedNetwork::balanced(3, n, 1);
+        if (replicated) live_net.add_replica(0);
+        ServeFrontend fe(live_net, {.admission_batch = admission});
+        const FrontendResult live = fe.run(trace, saturation(m));
+        const std::string what = std::string(workload_name(kind)) +
+                                 " B=" + std::to_string(admission) +
+                                 (replicated ? " replicated" : "");
+        EXPECT_EQ(live.sim.routing_cost, batch.routing_cost) << what;
+        EXPECT_EQ(live.sim.rotation_count, batch.rotation_count) << what;
+        EXPECT_EQ(live.sim.edge_changes, batch.edge_changes) << what;
+        EXPECT_EQ(live.sim.total_cost(), batch.total_cost()) << what;
+        EXPECT_EQ(live.sim.replica_reads, batch.replica_reads) << what;
+        EXPECT_EQ(live.sim.requests, m) << what;
+        EXPECT_EQ(live.sim.cross_shard, 0) << what;
+        EXPECT_EQ(live.handovers, 0u) << what;
+      }
     }
   }
 }

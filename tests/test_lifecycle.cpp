@@ -282,6 +282,13 @@ TEST(Lifecycle, ReplicaReadsNeverChangeGoldenCosts) {
       ASSERT_EQ(ra, rb) << workload_name(kind);
     }
     EXPECT_GT(b.replica_reads_served(), 0);
+    // run_trace over that path reports the pipeline's costs and reads.
+    ShardedNetwork c = ShardedNetwork::balanced(k, n, S);
+    for (int s = 0; s < S; ++s) c.add_replica(s);
+    const SimResult per_request = run_trace(c, trace);
+    expect_same_costs(per_request, got, workload_name(kind));
+    EXPECT_EQ(per_request.replica_reads, got.replica_reads)
+        << workload_name(kind);
   }
 }
 
