@@ -7,6 +7,7 @@
 // (n and 10^6 requests). EXPERIMENTS.md records both conventions.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <optional>
@@ -49,6 +50,12 @@ int bench_threads_resolved();
 /// Writes `body` to the `--json` path when one was given; exits(1) on an
 /// unwritable path. No-op when --json was not passed.
 void write_json_result(const std::string& body);
+
+/// Wall seconds elapsed since `t0` on the steady clock.
+inline double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
 
 inline bool full_scale() {
   const char* env = std::getenv("SAN_BENCH_FULL");

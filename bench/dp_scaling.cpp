@@ -22,15 +22,6 @@
 #include "workload/demand_matrix.hpp"
 #include "workload/generators.hpp"
 
-namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace san;
   bench::init_bench_cli(argc, argv);
@@ -51,12 +42,12 @@ int main(int argc, char** argv) {
     for (int k : {2, 5, 10}) {
       auto t0 = std::chrono::steady_clock::now();
       const Cost serial_cost = optimal_routing_based_tree(k, d, 1).total_distance;
-      const double serial = seconds_since(t0);
+      const double serial = bench::seconds_since(t0);
       t0 = std::chrono::steady_clock::now();
       const Cost thr_cost =
           optimal_routing_based_tree(k, d, bench::bench_threads())
               .total_distance;
-      const double threaded = seconds_since(t0);
+      const double threaded = bench::seconds_since(t0);
       if (serial_cost != thr_cost) {
         std::cerr << "BUG: serial and threaded DP disagree\n";
         return 1;
@@ -106,7 +97,7 @@ int main(int argc, char** argv) {
               ? optimal_routing_based_cost(c.k, d, bench::bench_threads())
               : optimal_routing_based_tree(c.k, d, bench::bench_threads())
                     .total_distance;
-      const double secs = seconds_since(t0);
+      const double secs = bench::seconds_since(t0);
       if (c.n == 2048 && c.k == 2) {
         tree_cost_at_2048.push_back(cost);
         if (tree_cost_at_2048.size() == 2 &&
@@ -137,7 +128,7 @@ int main(int argc, char** argv) {
     for (int k : {2, 10}) {
       const auto t0 = std::chrono::steady_clock::now();
       const Cost c = optimal_uniform_cost(k, n);
-      const double secs = seconds_since(t0);
+      const double secs = bench::seconds_since(t0);
       uniform.add_row({std::to_string(n), std::to_string(k),
                        fixed_cell(secs, 3), std::to_string(c)});
       json_uniform << (json_uniform.tellp() > 0 ? ",\n" : "")

@@ -34,11 +34,6 @@ namespace {
 
 using namespace san;
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 constexpr double kRecoverySloMs = 250.0;
 
 struct LifecycleRow {
@@ -93,7 +88,7 @@ LifecycleRow run_lifecycle_row(const Trace& trace, int k, int S,
   opt.rebalance = &cfg;
   const auto t0 = std::chrono::steady_clock::now();
   const SimResult res = run_trace_sharded(net, trace, opt);
-  row.seconds = seconds_since(t0);
+  row.seconds = bench::seconds_since(t0);
   row.grand_lifecycle = res.grand_total_cost();
   row.cost_ratio = static_cast<double>(row.grand_lifecycle) /
                    static_cast<double>(row.grand_static);
@@ -130,7 +125,7 @@ RecoveryRow run_recovery_row(const Trace& trace, int k, int S,
   row.shards = S;
   const auto t0 = std::chrono::steady_clock::now();
   const SimResult res = run_trace_sharded(net, trace, opt);
-  row.seconds = seconds_since(t0);
+  row.seconds = bench::seconds_since(t0);
   row.faults = res.faults_injected;
   row.promotions = res.replica_promotions;
   row.replayed = res.recovery_replayed;

@@ -34,11 +34,6 @@ namespace {
 
 using namespace san;
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 struct Row {
   std::string schedule;
   double seconds = 0;
@@ -62,7 +57,7 @@ Row run_row(const Trace& trace, int n, const ScheduleConfig& sched) {
   const SimResult res = run_trace(net, trace, sched);
   Row row;
   row.schedule = schedule_policy_name(sched.policy);
-  row.seconds = seconds_since(t0);
+  row.seconds = bench::seconds_since(t0);
   row.req_per_sec = static_cast<double>(res.requests) / row.seconds;
   row.total_cost = res.total_cost();
   row.reordered_fraction =

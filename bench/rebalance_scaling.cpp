@@ -34,11 +34,6 @@ namespace {
 
 using namespace san;
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 struct Row {
   std::string config;
   double seconds = 0;
@@ -70,7 +65,7 @@ Row run_row(const std::string& label, const Trace& trace, int k, int S,
   const SimResult res = run_trace_sharded(net, trace, opt);
   Row row;
   row.config = label;
-  row.seconds = seconds_since(t0);
+  row.seconds = bench::seconds_since(t0);
   row.req_per_sec = static_cast<double>(trace.size()) / row.seconds;
   row.serve_cost = res.total_cost();
   row.grand_cost = res.grand_total_cost();

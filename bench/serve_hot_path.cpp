@@ -26,11 +26,6 @@ namespace {
 
 using namespace san;
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 struct Row {
   std::string name;
   double seconds = 0;
@@ -48,7 +43,7 @@ Row replay(const std::string& name, const Trace& trace, ServeFn&& serve) {
   }
   Row row;
   row.name = name;
-  row.seconds = seconds_since(t0);
+  row.seconds = bench::seconds_since(t0);
   row.req_per_sec = static_cast<double>(trace.size()) / row.seconds;
   row.total_cost = total;
   return row;
@@ -83,7 +78,7 @@ int main(int argc, char** argv) {
     const SimResult res = run_trace_static(tree, trace);
     Row row;
     row.name = "static-full-k" + std::to_string(k);
-    row.seconds = seconds_since(t0);
+    row.seconds = bench::seconds_since(t0);
     row.req_per_sec = static_cast<double>(m) / row.seconds;
     row.total_cost = res.total_cost();
     rows.push_back(row);

@@ -33,11 +33,6 @@ namespace {
 
 using namespace san;
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 struct Row {
   std::string config;
   int shards = 0;
@@ -78,7 +73,7 @@ WorkloadReport run_one(const char* label, WorkloadKind kind, int n, int k,
     Row row;
     row.config = "unsharded";
     row.shards = 1;
-    row.seconds = seconds_since(t0);
+    row.seconds = bench::seconds_since(t0);
     row.req_per_sec = static_cast<double>(m) / row.seconds;
     row.total_cost = res.total_cost();
     rep.rows.push_back(row);
@@ -97,7 +92,7 @@ WorkloadReport run_one(const char* label, WorkloadKind kind, int n, int k,
     Row row;
     row.config = "S=" + std::to_string(S);
     row.shards = S;
-    row.seconds = seconds_since(t0);
+    row.seconds = bench::seconds_since(t0);
     row.req_per_sec = static_cast<double>(m) / row.seconds;
     row.speedup = base.seconds / row.seconds;
     row.total_cost = res.total_cost();

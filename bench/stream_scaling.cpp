@@ -1,7 +1,7 @@
 // Streaming data-plane scaling: the memory and throughput story of the
 // O(chunk) replay path at n = 10^6 nodes and 10^7-10^8 requests.
 //
-// Three sections:
+// Two sections:
 //   * stream scale — the sharded streaming drain over an on-demand
 //     workload generator at a fixed n = 10^6 while m grows 4x. The
 //     resident-set delta of each run must stay flat: the pipeline's
@@ -13,11 +13,6 @@
 //     streaming path deletes. The streaming run goes FIRST so the
 //     process's peak-RSS watermark (VmHWM, monotonic) still shows what
 //     the streamed section alone needed.
-//   * sketch vs exact — the PR 4 drift benchmark (rotating hotset,
-//     n = 2000, S = 8, hotpair policy) with the rebalancer's demand
-//     window kept exactly vs by the sketch pair
-//     (stats/sketch.hpp). The sketch run's grand total must stay within
-//     2% of exact while its window state is bounded independently of n.
 //
 // --smoke shrinks everything to CI-sized runs; SAN_BENCH_FULL=1 raises
 // the top stream length to the 10^8 class. The checked-in
@@ -37,17 +32,11 @@
 #include "core/executor.hpp"
 #include "sim/simulator.hpp"
 #include "stats/table.hpp"
-#include "workload/rebalance.hpp"
 #include "workload/streaming.hpp"
 
 namespace {
 
 using namespace san;
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 /// Current resident set in bytes (/proc/self/statm), 0 where unsupported.
 /// Current — not ru_maxrss — because the whole point is watching the
@@ -107,7 +96,7 @@ StreamRow run_stream_once(int n, int shards, std::size_t m) {
   const auto t0 = std::chrono::steady_clock::now();
   const SimResult res = run_trace_sharded_stream(
       net, stream, {.threads = bench::bench_threads()});
-  row.seconds = seconds_since(t0);
+  row.seconds = bench::seconds_since(t0);
   row.req_per_sec = static_cast<double>(m) / row.seconds;
   row.total_cost = res.total_cost();
   // Sampled while the network is still alive: this is the whole working
@@ -143,55 +132,13 @@ HeadToHead run_head_to_head(int n, std::size_t m) {
   const auto t0 = std::chrono::steady_clock::now();
   const SimResult res =
       run_trace_sharded(net, trace, {.threads = bench::bench_threads()});
-  mrow.seconds = seconds_since(t0);
+  mrow.seconds = bench::seconds_since(t0);
   mrow.req_per_sec = static_cast<double>(m) / mrow.seconds;
   mrow.total_cost = res.total_cost();
   mrow.rss_during_mb = mb(current_rss_bytes());
   mrow.rss_delta_mb = mrow.rss_during_mb - mrow.rss_before_mb;
   h.costs_match = res.total_cost() == h.stream.total_cost;
   return h;
-}
-
-struct SketchReport {
-  int n = 0;
-  int shards = 0;
-  std::size_t m = 0;
-  Cost exact_grand = 0;
-  Cost sketch_grand = 0;
-  double ratio = 0.0;
-  double exact_seconds = 0.0;
-  double sketch_seconds = 0.0;
-  Cost exact_migrations = 0;
-  Cost sketch_migrations = 0;
-};
-
-SketchReport run_sketch_vs_exact() {
-  SketchReport rep;
-  rep.n = bench::scaled(256, 2000, 2000);
-  rep.shards = 8;
-  rep.m = bench::trace_length();
-  const Trace trace = gen_workload(WorkloadKind::kRotatingHot, rep.n, rep.m,
-                                   bench::bench_seed());
-  auto run_with = [&](DemandTracker tracker, double& seconds, Cost& migs) {
-    RebalanceConfig cfg;
-    cfg.policy = RebalancePolicy::kHotPair;
-    cfg.tracker = tracker;
-    ShardedNetwork net = ShardedNetwork::balanced(
-        3, rep.n, rep.shards, ShardPartition::kContiguous);
-    const auto t0 = std::chrono::steady_clock::now();
-    const SimResult res = run_trace_sharded(
-        net, trace, {.threads = bench::bench_threads(), .rebalance = &cfg});
-    seconds = seconds_since(t0);
-    migs = res.migrations;
-    return res.grand_total_cost();
-  };
-  rep.exact_grand =
-      run_with(DemandTracker::kExact, rep.exact_seconds, rep.exact_migrations);
-  rep.sketch_grand = run_with(DemandTracker::kSketch, rep.sketch_seconds,
-                              rep.sketch_migrations);
-  rep.ratio = static_cast<double>(rep.sketch_grand) /
-              static_cast<double>(rep.exact_grand);
-  return rep;
 }
 
 }  // namespace
@@ -247,21 +194,6 @@ int main(int argc, char** argv) {
             << "; streamed-section peak rss " << fixed_cell(h.stream_peak_mb, 1)
             << " MB) --\n";
   t2.print();
-  std::cout << "\n";
-
-  const SketchReport sk = run_sketch_vs_exact();
-  Table t3({"tracker", "grand total", "migrations", "seconds"});
-  t3.add_row({"exact", std::to_string(sk.exact_grand),
-              std::to_string(sk.exact_migrations),
-              fixed_cell(sk.exact_seconds, 3)});
-  t3.add_row({"sketch", std::to_string(sk.sketch_grand),
-              std::to_string(sk.sketch_migrations),
-              fixed_cell(sk.sketch_seconds, 3)});
-  std::cout << "-- sketch vs exact demand window, rotating hotset n=" << sk.n
-            << ", S=" << sk.shards << ", m=" << sk.m
-            << " (grand-cost ratio " << fixed_cell(sk.ratio, 4)
-            << ", bound 1.02) --\n";
-  t3.print();
 
   std::ostringstream js;
   js << "{\n  \"bench\": \"stream_scaling\",\n  \"threads\": "
@@ -289,14 +221,7 @@ int main(int argc, char** argv) {
      << fixed_cell(h.materialized.seconds, 4) << ", \"req_per_sec\": "
      << static_cast<long long>(h.materialized.req_per_sec)
      << ", \"rss_delta_mb\": " << fixed_cell(h.materialized.rss_delta_mb, 1)
-     << "}\n  },\n  \"sketch_vs_exact\": {\n    \"n\": " << sk.n
-     << ",\n    \"shards\": " << sk.shards << ",\n    \"m\": " << sk.m
-     << ",\n    \"exact_grand_cost\": " << sk.exact_grand
-     << ",\n    \"sketch_grand_cost\": " << sk.sketch_grand
-     << ",\n    \"ratio\": " << fixed_cell(sk.ratio, 4)
-     << ",\n    \"exact_migrations\": " << sk.exact_migrations
-     << ",\n    \"sketch_migrations\": " << sk.sketch_migrations
-     << "\n  }\n}\n";
+     << "}\n  }\n}\n";
   bench::write_json_result(js.str());
   return 0;
 }

@@ -38,6 +38,7 @@
 //   post_intra_fraction there counts dispatch-time intra-shard requests
 //   instead of re-scanning the trace under the final shard map.
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -45,7 +46,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <type_traits>
 #include <utility>
 
 #include "io/trace_io.hpp"
@@ -203,45 +203,52 @@ Options parse(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
-    // Counts parse signed and must fit their field: stoull would silently
-    // wrap "-1" to 2^64 - 1, and a negative --n would mean "default".
+    // Every numeric flag must be one number of its field's type filling
+    // the whole argument: "2000x", "3.5" for an integer, " 7", "+7" and
+    // out-of-range values exit 2, as does "-1" for an unsigned field
+    // (stoull would silently wrap it to 2^64 - 1).
+    auto number = [&](auto& field) {
+      const std::string text = next();
+      const char* end = text.data() + text.size();
+      const auto [stop, ec] = std::from_chars(text.data(), end, field);
+      if (ec != std::errc{} || stop != end) usage(argv[0]);
+    };
+    // Counts are also non-negative: a negative --n would mean "default".
     auto count = [&](auto& field) {
-      using T = std::remove_reference_t<decltype(field)>;
-      const long long v = std::stoll(next());
-      if (v < 0 || !std::in_range<T>(v)) usage(argv[0]);
-      field = static_cast<T>(v);
+      number(field);
+      if (std::cmp_less(field, 0)) usage(argv[0]);
     };
     if (arg == "--workload") o.workload = next();
     else if (arg == "--trace") o.trace_path = next();
     else if (arg == "--trace-v2") o.trace_v2_path = next();
     else if (arg == "--stream") o.stream = true;
     else if (arg == "--topology") o.topology = next();
-    else if (arg == "--k") o.k = std::stoi(next());
+    else if (arg == "--k") number(o.k);
     else if (arg == "--n") count(o.n);
-    else if (arg == "--shards") o.shards = std::stoi(next());
+    else if (arg == "--shards") number(o.shards);
     else if (arg == "--partition") o.partition = next();
     else if (arg == "--rebalance") o.rebalance = next();
     else if (arg == "--epoch") count(o.epoch);
-    else if (arg == "--split-watermark") o.split_watermark = std::stod(next());
-    else if (arg == "--merge-watermark") o.merge_watermark = std::stod(next());
+    else if (arg == "--split-watermark") number(o.split_watermark);
+    else if (arg == "--merge-watermark") number(o.merge_watermark);
     else if (arg == "--replicas") count(o.replicas);
     else if (arg == "--fault") o.fault = next();
     else if (arg == "--chaos-seed") {
       o.chaos = true;
-      o.chaos_seed = std::stoull(next());
+      number(o.chaos_seed);
     }
-    else if (arg == "--recovery-slo") o.recovery_slo = std::stod(next());
+    else if (arg == "--recovery-slo") number(o.recovery_slo);
     else if (arg == "--queue-policy") o.queue_policy = next();
-    else if (arg == "--deadline-ms") o.deadline_ms = std::stod(next());
-    else if (arg == "--admit-rate") o.admit_rate = std::stod(next());
+    else if (arg == "--deadline-ms") number(o.deadline_ms);
+    else if (arg == "--admit-rate") number(o.admit_rate);
     else if (arg == "--schedule") o.schedule = next();
-    else if (arg == "--sched-window") o.sched_window = std::stoi(next());
+    else if (arg == "--sched-window") number(o.sched_window);
     else if (arg == "--requests") count(o.requests);
-    else if (arg == "--seed") o.seed = std::stoull(next());
+    else if (arg == "--seed") number(o.seed);
     else if (arg == "--open-loop") o.open_loop = true;
     else if (arg == "--arrival") o.arrival = next();
-    else if (arg == "--rate") o.rate = std::stod(next());
-    else if (arg == "--duration") o.duration = std::stod(next());
+    else if (arg == "--rate") number(o.rate);
+    else if (arg == "--duration") number(o.duration);
     else if (arg == "--dump-tree") o.dump_tree = next();
     else if (arg == "--dump-trace") o.dump_trace = next();
     else if (arg == "--dump-trace-v2") o.dump_trace_v2 = next();

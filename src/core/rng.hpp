@@ -20,8 +20,8 @@ inline double uniform_open(std::mt19937_64& rng) {
 }
 
 /// splitmix64 finalizer: a fixed 64-bit mix used as a seeded stateless
-/// hash (shard scattering, sketch row hashing). Never change the
-/// constants — checked-in partitions and sketches depend on them.
+/// hash (shard scattering). Never change the constants — checked-in
+/// partitions depend on them.
 inline std::uint64_t splitmix64_mix(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;

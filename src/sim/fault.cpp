@@ -1,7 +1,8 @@
 #include "sim/fault.hpp"
 
 #include <algorithm>
-#include <stdexcept>
+#include <charconv>
+#include <string_view>
 
 #include "core/types.hpp"
 
@@ -16,6 +17,19 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
   return z ^ (z >> 31);
+}
+
+/// A non-negative number spelled only in decimal digits that fill the
+/// whole field: no sign, no blanks, no trailing characters, no overflow.
+template <typename T>
+T parse_digits(std::string_view field, const std::string& item) {
+  const auto digit = [](char c) { return c >= '0' && c <= '9'; };
+  T value{};
+  if (!std::all_of(field.begin(), field.end(), digit) ||
+      std::from_chars(field.data(), field.data() + field.size(), value).ec !=
+          std::errc{})
+    throw TreeError("parse_fault_plan: malformed number in '" + item + "'");
+  return value;
 }
 
 }  // namespace
@@ -75,13 +89,10 @@ FaultPlan parse_fault_plan(const std::string& spec) {
     if (at == std::string::npos || at == 0 || at + 1 >= item.size())
       throw TreeError("parse_fault_plan: expected [KIND:]IDX@SHARD, got '" +
                       item + "'");
-    try {
-      plan.kills.push_back(
-          {std::stoull(item.substr(0, at)), std::stoi(item.substr(at + 1)),
-           kind});
-    } catch (const std::exception&) {
-      throw TreeError("parse_fault_plan: malformed number in '" + item + "'");
-    }
+    const std::string_view fields(item);
+    plan.kills.push_back(
+        {parse_digits<std::size_t>(fields.substr(0, at), item),
+         parse_digits<int>(fields.substr(at + 1), item), kind});
     pos = end + 1;
   }
   plan.validate();

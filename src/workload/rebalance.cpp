@@ -12,8 +12,6 @@ constexpr std::size_t kDriftTopK = 32;
 /// A move must beat the migration cost estimate by this many cost units
 /// (projected over one window) to be accepted.
 constexpr double kMinGain = 0.0;
-/// Count-min rows of the kSketch tracker.
-constexpr int kSketchCmDepth = 4;
 
 std::uint64_t pair_key(NodeId u, NodeId v) { return pack_node_pair(u, v); }
 
@@ -63,16 +61,6 @@ const char* rebalance_trigger_name(RebalanceTrigger trigger) {
   return "?";
 }
 
-const char* demand_tracker_name(DemandTracker tracker) {
-  switch (tracker) {
-    case DemandTracker::kExact:
-      return "exact";
-    case DemandTracker::kSketch:
-      return "sketch";
-  }
-  return "?";
-}
-
 RebalanceState::RebalanceState(RebalanceConfig cfg) : cfg_(cfg) {
   if (cfg_.window_decay < 0.0 || cfg_.window_decay >= 1.0)
     throw TreeError("RebalanceState: window_decay must be in [0, 1)");
@@ -84,15 +72,7 @@ RebalanceState::RebalanceState(RebalanceConfig cfg) : cfg_(cfg) {
     throw TreeError("RebalanceState: replicas must be >= 0");
   if (cfg_.max_shards < 1 || cfg_.min_shards < 1)
     throw TreeError("RebalanceState: shard-count bounds must be >= 1");
-  if (cfg_.tracker == DemandTracker::kSketch) {
-    if (cfg_.sketch_top_k < 1)
-      throw TreeError("RebalanceState: sketch_top_k must be >= 1");
-    hot_ = std::make_unique<SpaceSaving>(cfg_.sketch_top_k);
-    cm_ = std::make_unique<CountMinSketch>(cfg_.sketch_cm_width,
-                                           kSketchCmDepth);
-  } else {
-    rebuild_index();
-  }
+  rebuild_index();
 }
 
 std::size_t RebalanceState::find_slot(std::uint64_t key) const {
@@ -118,50 +98,23 @@ void RebalanceState::rebuild_index() {
 void RebalanceState::observe(const Request& r, const ShardMap& map) {
   if (r.src == r.dst) return;
   const std::uint64_t key = pair_key(r.src, r.dst);
-  if (hot_) {
-    hot_->observe(key, 1.0);
-    cm_->observe(key, 1.0);
+  const std::size_t slot = find_slot(key);
+  if (index_[slot] == 0) {
+    window_.push_back(unpack_pair(key, 1.0));
+    touched_.push_back(1);
+    index_[slot] = static_cast<std::uint32_t>(window_.size());
+    if (2 * window_.size() > index_.size()) rebuild_index();
   } else {
-    const std::size_t slot = find_slot(key);
-    if (index_[slot] == 0) {
-      window_.push_back(unpack_pair(key, 1.0));
-      touched_.push_back(1);
-      index_[slot] = static_cast<std::uint32_t>(window_.size());
-      if (2 * window_.size() > index_.size()) rebuild_index();
-    } else {
-      window_[index_[slot] - 1].weight += 1.0;
-      touched_[index_[slot] - 1] = 1;
-    }
+    window_[index_[slot] - 1].weight += 1.0;
+    touched_[index_[slot] - 1] = 1;
   }
   requests_ += 1.0;
   if (map.shard_of(r.src) != map.shard_of(r.dst)) cross_ += 1.0;
 }
 
 double RebalanceState::pair_weight(NodeId u, NodeId v) const {
-  const std::uint64_t key = pair_key(u, v);
-  if (hot_) {
-    // Tracked heavy pairs answer from the summary; the long tail falls
-    // back to the count-min point estimate (never an underestimate).
-    // Estimates below the retention floor are decayed-out noise — the
-    // exact window would have pruned them, so report 0 like it does.
-    if (hot_->contains(key)) return hot_->count(key);
-    const double est = cm_->estimate(key);
-    return est < kWindowFloorWeight ? 0.0 : est;
-  }
-  const std::uint32_t at = index_[find_slot(key)];
+  const std::uint32_t at = index_[find_slot(pair_key(u, v))];
   return at == 0 ? 0.0 : window_[at - 1].weight;
-}
-
-std::vector<WindowPair> RebalanceState::sketch_entries() const {
-  // The space-saving summary IS the window under kSketch: the planner
-  // works off the top-k heavy pairs, already in (count desc, key asc)
-  // order, which is the hotter() order.
-  const std::vector<SpaceSaving::Entry> tracked = hot_->entries();
-  std::vector<WindowPair> entries;
-  entries.reserve(tracked.size());
-  for (const SpaceSaving::Entry& e : tracked)
-    entries.push_back(unpack_pair(e.key, e.count));
-  return entries;
 }
 
 void RebalanceState::order_window() {
@@ -188,12 +141,6 @@ void RebalanceState::order_window() {
 void RebalanceState::decay() {
   requests_ *= cfg_.window_decay;
   cross_ *= cfg_.window_decay;
-  if (hot_) {
-    hot_->scale(cfg_.window_decay);
-    hot_->prune_below(kWindowFloorWeight);
-    cm_->scale(cfg_.window_decay);
-    return;
-  }
   for (WindowPair& e : window_) e.weight *= cfg_.window_decay;
   // Scaling is monotone, so it keeps the hottest-first order except where
   // rounding makes two weights equal (never at a power-of-two decay); one
@@ -228,17 +175,12 @@ RebalancePlan RebalanceState::epoch(const ShardMap& map,
   plan.cross_fraction =
       requests_ == 0.0 ? 0.0 : cross_ / requests_;
 
-  std::vector<WindowPair> tracked;
-  if (hot_)
-    tracked = sketch_entries();
-  else
-    order_window();
-  const std::vector<WindowPair>& entries = hot_ ? tracked : window_;
+  order_window();
 
   // Window load per shard (each endpoint touch counts its weight), shared
   // by the plan's load_imbalance report and the watermark policy.
   std::vector<double> touches(static_cast<std::size_t>(map.shards()), 0.0);
-  for (const WindowPair& e : entries) {
+  for (const WindowPair& e : window_) {
     touches[static_cast<std::size_t>(map.shard_of(e.u))] += e.weight;
     const int sv = map.shard_of(e.v);
     if (sv != map.shard_of(e.u))
@@ -262,10 +204,10 @@ RebalancePlan RebalanceState::epoch(const ShardMap& map,
   // the history stays warm across trigger changes.
   {
     std::vector<std::uint64_t> top;
-    const std::size_t k = std::min(kDriftTopK, entries.size());
+    const std::size_t k = std::min(kDriftTopK, window_.size());
     top.reserve(k);
     for (std::size_t i = 0; i < k; ++i)
-      top.push_back(pair_key(entries[i].u, entries[i].v));
+      top.push_back(pair_key(window_[i].u, window_[i].v));
     std::sort(top.begin(), top.end());
     if (prev_top_.empty() || top.empty()) {
       // An empty history is not drift: the first window only seeds the
@@ -296,22 +238,21 @@ RebalancePlan RebalanceState::epoch(const ShardMap& map,
     RebalanceCostHints resolved = hints;
     if (cfg_.cross_penalty > 0.0) resolved.cross_penalty = cfg_.cross_penalty;
     if (cfg_.policy == RebalancePolicy::kHotPair)
-      plan_hot_pairs(map, resolved, entries, plan);
+      plan_hot_pairs(map, resolved, plan);
     else if (cfg_.policy == RebalancePolicy::kWatermark)
-      plan_watermark(map, resolved, entries, touches, plan);
+      plan_watermark(map, resolved, touches, plan);
   }
 
   // Lifecycle decisions fire on every epoch regardless of the migration
   // trigger: a fleet-shape change answers sustained load skew, which the
   // drift detector deliberately ignores.
-  if (cfg_.lifecycle_enabled()) plan_lifecycle(map, entries, touches, plan);
+  if (cfg_.lifecycle_enabled()) plan_lifecycle(map, touches, plan);
 
   decay();
   return plan;
 }
 
 void RebalanceState::plan_lifecycle(const ShardMap& map,
-                                    const std::vector<WindowPair>& entries,
                                     const std::vector<double>& touches,
                                     RebalancePlan& plan) const {
   // Per-shard window load over node-owning shards, plus the two coldest
@@ -345,7 +286,7 @@ void RebalanceState::plan_lifecycle(const ShardMap& map,
   // replicas before applying any split/merge of the same barrier.
   if (cfg_.replicas > 0) {
     std::vector<double> intra_w(static_cast<std::size_t>(map.shards()), 0.0);
-    for (const WindowPair& e : entries) {
+    for (const WindowPair& e : window_) {
       const int su = map.shard_of(e.u);
       if (su == map.shard_of(e.v)) intra_w[static_cast<std::size_t>(su)] += e.weight;
     }
@@ -465,9 +406,8 @@ int shard_capacity(const ShardMap& map, double factor) {
 
 void RebalanceState::plan_hot_pairs(const ShardMap& map,
                                     const RebalanceCostHints& hints,
-                                    const std::vector<WindowPair>& entries,
                                     RebalancePlan& plan) const {
-  const Adjacency adj(entries, map.n());
+  const Adjacency adj(window_, map.n());
   const int capacity = shard_capacity(map, cfg_.capacity_factor);
 
   PlanScratch sc(map);
@@ -475,7 +415,7 @@ void RebalanceState::plan_hot_pairs(const ShardMap& map,
   std::vector<int>& owned = sc.owned;
   std::vector<bool>& moved = sc.moved;
 
-  for (const WindowPair& e : entries) {
+  for (const WindowPair& e : window_) {
     if (static_cast<int>(plan.migrations.size()) >= cfg_.max_migrations) break;
     const int su = shard_of[static_cast<std::size_t>(e.u)];
     const int sv = shard_of[static_cast<std::size_t>(e.v)];
@@ -514,10 +454,9 @@ void RebalanceState::plan_hot_pairs(const ShardMap& map,
 
 void RebalanceState::plan_watermark(const ShardMap& map,
                                     const RebalanceCostHints& hints,
-                                    const std::vector<WindowPair>& entries,
                                     const std::vector<double>& touches,
                                     RebalancePlan& plan) const {
-  const Adjacency adj(entries, map.n());
+  const Adjacency adj(window_, map.n());
   // The greedy loop evolves the same per-shard load epoch() already
   // measured (one endpoint touch per pair per shard).
   std::vector<double> load = touches;
@@ -531,7 +470,7 @@ void RebalanceState::plan_watermark(const ShardMap& map,
   // is smaller — pairs with a partner in the same shard keep touching the
   // shard through the partner after the node leaves).
   std::vector<double> node_load(static_cast<std::size_t>(map.n()) + 1, 0.0);
-  for (const WindowPair& e : entries) {
+  for (const WindowPair& e : window_) {
     node_load[static_cast<std::size_t>(e.u)] += e.weight;
     node_load[static_cast<std::size_t>(e.v)] += e.weight;
   }

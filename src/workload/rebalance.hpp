@@ -38,10 +38,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "stats/sketch.hpp"
 #include "workload/partition.hpp"
 #include "workload/request.hpp"
 
@@ -79,19 +77,8 @@ enum class RebalanceTrigger {
                 ///< reacting within one epoch to phase changes.
 };
 
-/// How the window's pair-demand histogram is stored.
-enum class DemandTracker {
-  kExact,   ///< flat array, one entry per distinct pair, plus an
-            ///< open-addressing index (state grows with the observed pair
-            ///< universe up to window_capacity)
-  kSketch,  ///< SpaceSaving top-k + CountMin estimates (stats/sketch.hpp):
-            ///< state fixed by sketch_top_k / sketch_cm_width, independent
-            ///< of n and m — the n >= 10^6 streaming configuration
-};
-
 const char* rebalance_policy_name(RebalancePolicy policy);
 const char* rebalance_trigger_name(RebalanceTrigger trigger);
-const char* demand_tracker_name(DemandTracker tracker);
 
 struct RebalanceConfig {
   RebalancePolicy policy = RebalancePolicy::kNone;
@@ -118,18 +105,9 @@ struct RebalanceConfig {
   /// parallelism and the shallow trees sharding exists to provide.
   double capacity_factor = 1.5;
   /// Soft cap on distinct pairs kept in the window (aged-out entries are
-  /// pruned at epoch boundaries first, lightest pairs next).
+  /// pruned at epoch boundaries first, lightest pairs next), so the window
+  /// never holds more than window_capacity + epoch_requests pairs.
   std::size_t window_capacity = 1 << 16;
-  /// Window storage backend; kSketch bounds memory independently of n.
-  DemandTracker tracker = DemandTracker::kExact;
-  /// kSketch: heavy-pair entries tracked by the space-saving summary (the
-  /// planner's working set — plays the role window_capacity plays for the
-  /// exact map).
-  std::size_t sketch_top_k = 4096;
-  /// kSketch: count-min width (rounded up to a power of two; depth is
-  /// fixed at 4 rows). Point-estimate error is ~ window_weight / width per
-  /// row; the default 2^16 x 4 costs 2 MiB of doubles.
-  std::size_t sketch_cm_width = 1 << 16;
 
   // ---- tablet-style shard lifecycle (split / merge / replicate) -------
   // Lifecycle planning rides on the same per-shard window loads the
@@ -212,15 +190,15 @@ struct WindowPair {
   double weight = 0.0;
 };
 
-/// The exact window (DemandTracker::kExact) is a flat array of WindowPairs
-/// with an open-addressing index, so observe() and pair_weight() are one
-/// probe each. After each epoch the array is hottest-first — (weight desc,
-/// u, v) — and it stays so apart from the pairs observe() touches: decay
-/// scales every weight by one factor (rounding can only create ties, which
-/// an insertion pass orders), and the capacity cut drops a suffix. epoch()
-/// sorts just the touched pairs and merges them back, so planning costs
-/// linear passes over the window plus a sort of one epoch's distinct
-/// pairs, never a sort of the whole window.
+/// The window is a flat array of WindowPairs with an open-addressing
+/// index, so observe() and pair_weight() are one probe each. After each
+/// epoch the array is hottest-first — (weight desc, u, v) — and it stays so
+/// apart from the pairs observe() touches: decay scales every weight by one
+/// factor (rounding can only create ties, which an insertion pass orders),
+/// and the capacity cut drops a suffix. epoch() sorts just the touched
+/// pairs and merges them back, so planning costs linear passes over the
+/// window plus a sort of one epoch's distinct pairs, never a sort of the
+/// whole window.
 class RebalanceState {
  public:
   explicit RebalanceState(RebalanceConfig cfg);
@@ -243,22 +221,18 @@ class RebalanceState {
 
  private:
   void plan_hot_pairs(const ShardMap& map, const RebalanceCostHints& hints,
-                      const std::vector<WindowPair>& entries,
                       RebalancePlan& plan) const;
   /// `touches` is the per-shard window load epoch() measured (one endpoint
   /// touch per pair per shard), reused as the evolving load model.
   void plan_watermark(const ShardMap& map, const RebalanceCostHints& hints,
-                      const std::vector<WindowPair>& entries,
                       const std::vector<double>& touches,
                       RebalancePlan& plan) const;
   /// Split/merge/replicate planning from the same window `touches` load
   /// model; see the lifecycle fields of RebalanceConfig.
   void plan_lifecycle(const ShardMap& map,
-                      const std::vector<WindowPair>& entries,
                       const std::vector<double>& touches,
                       RebalancePlan& plan) const;
-  std::vector<WindowPair> sketch_entries() const;
-  /// Restores the exact window's hottest-first order (class comment).
+  /// Restores the window's hottest-first order (class comment).
   void order_window();
   void decay();
   /// Index slot holding `key`, or the empty slot where it would go.
@@ -266,18 +240,14 @@ class RebalanceState {
   void rebuild_index();
 
   RebalanceConfig cfg_;
-  /// kExact: every pair with its exponentially aged request count, in the
-  /// order described in the class comment.
+  /// Every pair with its exponentially aged request count, in the order
+  /// described in the class comment.
   std::vector<WindowPair> window_;
   /// touched_[i] != 0: window_[i] was observed since the last epoch.
   std::vector<std::uint8_t> touched_;
   /// Linear-probing index over window_: a power-of-two number of slots at
   /// load <= 1/2, each holding a window_ position + 1, or 0 when empty.
   std::vector<std::uint32_t> index_;
-  /// kSketch: fixed-size summaries standing in for window_. hot_ feeds the
-  /// planner's entry list; cm_ answers pair_weight() point queries.
-  std::unique_ptr<SpaceSaving> hot_;
-  std::unique_ptr<CountMinSketch> cm_;
   /// Previous epoch's top kDriftTopK pair keys, sorted (drift detector).
   std::vector<std::uint64_t> prev_top_;
   double requests_ = 0.0;

@@ -226,6 +226,16 @@ TEST(Lifecycle, FaultPlanParsesAndValidates) {
   EXPECT_THROW(parse_fault_plan("@2"), TreeError);
   EXPECT_THROW(parse_fault_plan("100@-3"), TreeError);
   EXPECT_THROW(parse_fault_plan("junk@2"), TreeError);
+  // Each index and shard id is decimal digits filling its whole field: no
+  // sign (stoull would wrap "-5" to 2^64 - 5, an event that never fires),
+  // no blanks, no trailing junk, no overflow.
+  EXPECT_THROW(parse_fault_plan("-5@0"), TreeError);
+  EXPECT_THROW(parse_fault_plan("12abc@1junk"), TreeError);
+  EXPECT_THROW(parse_fault_plan("12@1junk"), TreeError);
+  EXPECT_THROW(parse_fault_plan(" 7@ 2"), TreeError);
+  EXPECT_THROW(parse_fault_plan("+3@+1"), TreeError);
+  EXPECT_THROW(parse_fault_plan("7@99999999999"), TreeError);
+  EXPECT_THROW(parse_fault_plan("99999999999999999999@0"), TreeError);
 
   FaultPlan unsorted;
   unsorted.kills = {{500, 0}, {100, 1}};

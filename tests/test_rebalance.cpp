@@ -212,74 +212,6 @@ TEST(Rebalance, CapacityCutMatchesRepeatedDoubling) {
   EXPECT_GE(*std::max_element(doublings_seen.begin(), doublings_seen.end()), 3);
 }
 
-TEST(Rebalance, SketchWindowObservesAndAgesLikeTheExactOne) {
-  RebalanceConfig cfg;
-  cfg.policy = RebalancePolicy::kHotPair;
-  cfg.trigger = RebalanceTrigger::kEveryEpoch;
-  cfg.window_decay = 0.5;
-  cfg.tracker = DemandTracker::kSketch;
-  RebalanceState state(cfg);
-  ShardMap map(8, 2, ShardPartition::kContiguous);
-
-  for (int i = 0; i < 8; ++i) state.observe({1, 5}, map);
-  for (int i = 0; i < 4; ++i) state.observe({2, 3}, map);
-  EXPECT_DOUBLE_EQ(state.pair_weight(1, 5), 8.0);
-  EXPECT_DOUBLE_EQ(state.pair_weight(2, 3), 4.0);
-  state.epoch(map, RebalanceCostHints{});
-  EXPECT_DOUBLE_EQ(state.pair_weight(1, 5), 4.0);
-  EXPECT_DOUBLE_EQ(state.pair_weight(2, 3), 2.0);
-  // Ages to the retention floor exactly like the exact window: 8 * 0.5^e
-  // survives while >= 1/1024, i.e. 13 epochs total.
-  for (int e = 0; e < 12; ++e) state.epoch(map, RebalanceCostHints{});
-  EXPECT_GT(state.pair_weight(1, 5), 0.0);
-  state.epoch(map, RebalanceCostHints{});
-  EXPECT_DOUBLE_EQ(state.pair_weight(1, 5), 0.0);
-}
-
-TEST(RebalanceDifferential, SketchTrackerMatchesExactWhenCapacityIsAmple) {
-  // With the space-saving summary sized past the distinct-pair count the
-  // sketch window is lossless: same weights, same sorted order, hence the
-  // same plans, migrations and costs bit for bit.
-  const Trace t = gen_workload(WorkloadKind::kPhaseElephants, 200, 25000, 12);
-  auto run_with = [&](DemandTracker tracker) {
-    RebalanceConfig cfg;
-    cfg.policy = RebalancePolicy::kHotPair;
-    cfg.epoch_requests = 2500;
-    cfg.tracker = tracker;
-    ShardedNetwork net = ShardedNetwork::balanced(3, t.n, 4);
-    return run_trace_sharded(net, t, {.sequential = true, .rebalance = &cfg});
-  };
-  const SimResult exact = run_with(DemandTracker::kExact);
-  const SimResult sketch = run_with(DemandTracker::kSketch);
-  expect_same(exact, sketch, "exact vs ample sketch");
-}
-
-TEST(RebalanceDifferential, TightSketchStaysWithinTwoPercentOfExact) {
-  // The acceptance bound at unit scale: a deliberately tight summary
-  // (top-k far below the distinct-pair count, narrow count-min) may plan
-  // slightly different migrations, but the grand cost it reaches must stay
-  // within 2% of the exact tracker's on the drifting workload.
-  const Trace t = gen_workload(WorkloadKind::kRotatingHot, 400, 40000, 5);
-  auto run_with = [&](DemandTracker tracker) {
-    RebalanceConfig cfg;
-    cfg.policy = RebalancePolicy::kHotPair;
-    cfg.epoch_requests = 4000;
-    cfg.tracker = tracker;
-    cfg.sketch_top_k = 128;
-    cfg.sketch_cm_width = 1 << 10;
-    ShardedNetwork net = ShardedNetwork::balanced(3, t.n, 4);
-    return run_trace_sharded(net, t, {.sequential = true, .rebalance = &cfg});
-  };
-  const SimResult exact = run_with(DemandTracker::kExact);
-  const SimResult sketch = run_with(DemandTracker::kSketch);
-  const double ratio = static_cast<double>(sketch.grand_total_cost()) /
-                       static_cast<double>(exact.grand_total_cost());
-  EXPECT_GT(ratio, 0.98) << sketch.grand_total_cost() << " vs "
-                         << exact.grand_total_cost();
-  EXPECT_LT(ratio, 1.02) << sketch.grand_total_cost() << " vs "
-                         << exact.grand_total_cost();
-}
-
 TEST(Rebalance, HotPairPlanColocatesTheHotPair) {
   RebalanceConfig cfg;
   cfg.policy = RebalancePolicy::kHotPair;
@@ -642,21 +574,18 @@ struct PlanSequenceGolden {
   WorkloadKind workload;
   RebalancePolicy policy;
   RebalanceTrigger trigger;
-  DemandTracker tracker;
   std::uint64_t digest;
 };
 
 const PlanSequenceGolden kPlanSequenceGoldens[] = {
     {WorkloadKind::kRotatingHot, RebalancePolicy::kHotPair,
-     RebalanceTrigger::kDrift, DemandTracker::kExact, 0x8785d07424726972ull},
+     RebalanceTrigger::kDrift, 0x8785d07424726972ull},
     {WorkloadKind::kRotatingHot, RebalancePolicy::kWatermark,
-     RebalanceTrigger::kEveryEpoch, DemandTracker::kExact, 0x700051bd4ff55885ull},
+     RebalanceTrigger::kEveryEpoch, 0x700051bd4ff55885ull},
     {WorkloadKind::kFacebook, RebalancePolicy::kHotPair,
-     RebalanceTrigger::kEveryEpoch, DemandTracker::kExact, 0xd73f4e7b35994f8dull},
+     RebalanceTrigger::kEveryEpoch, 0xd73f4e7b35994f8dull},
     {WorkloadKind::kFacebook, RebalancePolicy::kWatermark,
-     RebalanceTrigger::kDrift, DemandTracker::kExact, 0xd83123f9eb7da30dull},
-    {WorkloadKind::kRotatingHot, RebalancePolicy::kHotPair,
-     RebalanceTrigger::kEveryEpoch, DemandTracker::kSketch, 0x4b702114a8407d70ull},
+     RebalanceTrigger::kDrift, 0xd83123f9eb7da30dull},
 };
 
 std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t x) {
@@ -672,11 +601,8 @@ std::uint64_t plan_sequence_digest(const PlanSequenceGolden& run) {
   RebalanceConfig cfg;
   cfg.policy = run.policy;
   cfg.trigger = run.trigger;
-  cfg.tracker = run.tracker;
   cfg.epoch_requests = 1024;
   cfg.window_capacity = 2048;
-  cfg.sketch_top_k = 1024;
-  cfg.sketch_cm_width = 1 << 12;
   cfg.replicas = 2;
   cfg.split_watermark = 1.5;
   cfg.merge_watermark = 0.5;
@@ -726,8 +652,7 @@ TEST(RebalanceGolden, PlanSequenceAtCapacityLocked) {
   for (const PlanSequenceGolden& run : kPlanSequenceGoldens) {
     const std::string what = std::string(workload_name(run.workload)) + " " +
                              rebalance_policy_name(run.policy) + " " +
-                             rebalance_trigger_name(run.trigger) + " " +
-                             demand_tracker_name(run.tracker);
+                             rebalance_trigger_name(run.trigger);
     const std::uint64_t digest = plan_sequence_digest(run);
     if (print_mode())
       std::printf("    %s: 0x%016llxull\n", what.c_str(),

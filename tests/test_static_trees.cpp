@@ -212,10 +212,14 @@ TEST(OptimalDp, CostMonotoneInArity) {
 }
 
 TEST(OptimalDp, ThreadedAndSerialAgree) {
+  // forward() runs a diagonal on one thread while its work
+  // (n - len + 1)(len + k) * 2k is below 8192. At k = 3 no diagonal clears
+  // that gate below n = 70; at n = 80 lengths 20..58 do (len 40:
+  // 41 * 43 * 6 = 10,578), so those diagonals really run on 4 threads.
   std::mt19937_64 rng(58);
-  const int n = 30;
+  const int n = 80;
   DemandMatrix d(n);
-  for (int t = 0; t < 200; ++t) {
+  for (int t = 0; t < 800; ++t) {
     NodeId u = 1 + static_cast<NodeId>(rng() % n);
     NodeId v = 1 + static_cast<NodeId>(rng() % n);
     if (u != v) d.add(u, v, 1 + static_cast<Cost>(rng() % 4));
