@@ -39,7 +39,7 @@ BenchCli& bench_cli();
 /// exits(2) on anything else. Every bench main calls this first.
 void init_bench_cli(int argc, char** argv);
 
-/// Thread count benches pass to run_sweep / parallel_for / sharded drains
+/// Thread count benches pass to parallel_for / sharded drains
 /// (the raw --threads value; 0 = auto).
 int bench_threads();
 

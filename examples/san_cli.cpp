@@ -357,6 +357,11 @@ Setup validate(Options& o) {
   if (std::ranges::find(kTopologies, o.topology) == std::end(kTopologies))
     throw TreeError("unknown topology: " + o.topology);
   if (o.shards < 1) throw TreeError("--shards needs S >= 1");
+  if (o.split_watermark < 0.0 || o.merge_watermark < 0.0 ||
+      o.recovery_slo < 0.0)
+    throw TreeError(
+        "--split-watermark, --merge-watermark and --recovery-slo must be "
+        ">= 0");
   if ((s.sharded || o.shards > 1) && o.topology != "ksplay" &&
       o.topology != "semisplay")
     throw TreeError(

@@ -104,6 +104,8 @@ KAryTree build_from_shape(int k, const Shape& shape) {
 }
 
 Shape make_complete_shape(int n, int k) {
+  // Checked before the height search below, which never ends for k < 2.
+  if (k < 2) throw TreeError("arity must be >= 2");
   Shape s;
   s.size = n;
   if (n <= 1) return s;

@@ -18,6 +18,21 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Max requests a worker admits per wakeup (the B of batched admission).
+constexpr std::size_t kAdmissionBatch = 64;
+/// Depth of the admission token bucket (armed by admit_rate > 0).
+constexpr double kAdmitBurst = 64.0;
+/// Handover mailbox bound under kShed/kDeadline, in units of
+/// queue_capacity. Under kBlock mailboxes stay unbounded: handover traffic
+/// is already bounded by the main queues, and a bounded worker-to-worker
+/// push could deadlock a cycle of full shards — the degradation modes
+/// break that cycle by shedding after bounded retries instead.
+constexpr std::size_t kMailboxPerQueue = 4;
+/// Retries of a full handover push before the leg is shed.
+constexpr int kHandoverRetries = 3;
+/// Consecutive retry exhaustions against one shard that trip its breaker.
+constexpr int kBreakerThreshold = 8;
+
 /// Seeds the per-worker deterministic backoff schedule between handover
 /// retries.
 constexpr std::uint64_t kBackoffSeed = 0x5EED;
@@ -38,6 +53,11 @@ std::uint64_t splitmix64(std::uint64_t& state) {
 constexpr int kBreakerClosed = 0;
 constexpr int kBreakerOpen = 1;
 constexpr int kBreakerRecovery = 2;
+
+struct Breaker {
+  std::atomic<int> state{kBreakerClosed};
+  std::atomic<int> failures{0};
+};
 
 /// One queued operation, in global ids (local ids are resolved on
 /// admission so queued items survive migrations).
@@ -63,30 +83,21 @@ class ShardInbox {
   ShardInbox(std::size_t capacity, std::size_t mail_capacity)
       : capacity_(capacity), mail_capacity_(mail_capacity) {}
 
-  /// Dispatcher push; blocks while the main queue is full. Returns true
-  /// when it had to wait (the queue was full on arrival) — the
-  /// queue_full_blocks signal.
-  bool push_main(const QueueItem& item) {
+  /// Dispatcher push onto the main queue. Returns false when the queue was
+  /// full on arrival (the queue_full_blocks signal): with `wait` the call
+  /// then blocks until there is room and pushes anyway, without it the
+  /// item is not pushed.
+  bool push(const QueueItem& item, bool wait) {
     std::unique_lock<std::mutex> lock(mu_);
-    bool waited = false;
-    while (main_.size() >= capacity_) {
-      waited = true;
-      not_full_.wait(lock);
+    const bool room = main_.size() < capacity_;
+    if (!room) {
+      if (!wait) return false;
+      not_full_.wait(lock, [&] { return main_.size() < capacity_; });
     }
     const bool was_empty = main_.empty() && mail_.empty();
     main_.push_back(item);
     if (was_empty) not_empty_.notify_one();
-    return waited;
-  }
-
-  /// Dispatcher push under kShed; false when the main queue is full.
-  bool try_push_main(const QueueItem& item) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (main_.size() >= capacity_) return false;
-    const bool was_empty = main_.empty() && mail_.empty();
-    main_.push_back(item);
-    if (was_empty) not_empty_.notify_one();
-    return true;
+    return room;
   }
 
   /// Worker-to-worker handover push; never blocks. False when the mailbox
@@ -138,7 +149,7 @@ class ShardInbox {
     closed_ = false;
   }
 
-  /// Dispatcher-only (same thread as push_main): the kQueuePressure fault
+  /// Dispatcher-only (same thread as push): the kQueuePressure fault
   /// collapses the bound, the next quiesce barrier restores it.
   void set_capacity(std::size_t capacity) {
     {
@@ -146,11 +157,6 @@ class ShardInbox {
       capacity_ = capacity;
     }
     not_full_.notify_all();
-  }
-
-  std::size_t capacity() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return capacity_;
   }
 
  private:
@@ -164,16 +170,22 @@ class ShardInbox {
   bool closed_ = false;
 };
 
-/// Worker-owned accumulators. Written only by the owning worker thread
-/// (a slot keeps one WorkerState across worker-kill respawns and shard
-/// reassignments, so counters only ever accumulate); read by the
-/// dispatcher at quiesce barriers (ordered by the acquire load of
+/// One worker slot. Written only by the slot's worker thread, except
+/// `rng`, which the dispatcher reseeds before each thread start on the
+/// slot. A slot keeps its accumulators across worker-kill respawns and
+/// shard reassignments, so counters only ever accumulate; the dispatcher
+/// reads them at quiesce barriers (ordered by the acquire load of
 /// `completed` against the workers' release increments) and after join.
 /// The trailing histograms make the struct large enough that neighbouring
-/// workers' hot counters do not share a cache line.
+/// workers' hot fields do not share a cache line.
 struct WorkerState {
-  /// Serve counters plus this worker's replica reads, reordered ops and
-  /// dequeue/handover sheds (deadline_expired, cross_shed, breaker_trips).
+  explicit WorkerState(const ScheduleConfig& schedule) : scheduler(schedule) {}
+
+  std::uint64_t rng = 0;  ///< handover-retry backoff jitter stream
+  std::vector<QueueItem> batch;
+  LocalityScheduler scheduler;
+  /// Serve counters plus this worker's replica reads and dequeue/handover
+  /// sheds (deadline_expired, cross_shed, breaker_trips).
   SimResult sim;
   /// Measured cross/intra split feeding the fleet controller's cost
   /// model (ascents + top legs vs local serves; cross_requests counts
@@ -186,6 +198,514 @@ struct WorkerState {
   LatencyHistogram queue_wait;
   LatencyHistogram shed;  ///< age at drop of dequeue/handover sheds
 };
+
+/// One run_stream call. Each worker thread runs `while (step(w))` on its
+/// slot; everything else — arrival pacing, admission control, the epoch
+/// and fault barriers, reshaping the worker fleet — runs on the caller
+/// thread, the dispatcher.
+class FrontendRun {
+ public:
+  FrontendRun(ShardedNetwork& net, const FrontendOptions& opt);
+  /// Workers hold `this`: the run neither copies nor moves.
+  FrontendRun(const FrontendRun&) = delete;
+  FrontendRun& operator=(const FrontendRun&) = delete;
+  /// Joins the workers on every path out of serve(), exceptions included.
+  ~FrontendRun() { stop_workers(); }
+
+  FrontendResult serve(RequestStream& stream, ArrivalSchedule& schedule);
+
+ private:
+  std::uint64_t now_ns() const {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                             start_)
+            .count());
+  }
+  ShardInbox& inbox_of(int shard) {
+    return *inboxes_[route_[static_cast<std::size_t>(shard)]];
+  }
+
+  // ---- worker side ---------------------------------------------------------
+  bool step(std::size_t w);
+  void hand_over(WorkerState& ws, int target, const QueueItem& leg);
+  /// Records `item`'s age into `hist` and counts it done, so the quiesce
+  /// accounting sees every admitted request exactly once.
+  void finish(LatencyHistogram& hist, const QueueItem& item) {
+    hist.record(now_ns() - item.arrival_ns);
+    completed_.fetch_add(1, std::memory_order_release);
+  }
+
+  // ---- fleet (dispatcher, at barriers) -------------------------------------
+  void start_worker(std::size_t w);
+  void stop_workers();
+  void spawn_worker(int shard_id);
+  void retire_shard(int shard_id);
+  void quiesce();
+  void set_breaker(int shard, int state);
+  void epoch_barrier();
+  void resume_point();
+  void fire_due(std::size_t offered);
+
+  // ---- admission (dispatcher) ----------------------------------------------
+  bool admit(const Request& r, std::uint64_t due);
+  void shed_admission(std::uint64_t arrival_ns) {
+    res_.shed.record(now_ns() - arrival_ns);
+  }
+
+  ShardedNetwork& net_;
+  const FrontendOptions& opt_;
+  const bool degrade_;  ///< kShed/kDeadline: bounded mailboxes + breakers
+  Clock::time_point start_;
+  FrontendResult res_;
+
+  // Worker slots, preallocated to the lifecycle ceiling so the fleet can
+  // grow without reallocating any array a live worker reads: splits claim
+  // a fresh (or previously retired) slot, merges retire one.
+  std::vector<std::unique_ptr<ShardInbox>> inboxes_;  // mutexes don't move
+  std::vector<WorkerState> workers_;
+  // The shard-route table: shard id -> worker slot (`route_`) and its
+  // inverse (`owned_`, -1 = slot free/retired). Mutated by the dispatcher
+  // only at quiesce barriers — the pipeline is empty, every worker is
+  // parked in pop_batch — and published through the inbox mutexes (any
+  // item a worker pops was pushed after the mutation).
+  std::vector<std::size_t> route_;
+  std::vector<int> owned_;
+  std::vector<Breaker> breakers_;  ///< per shard; degradation modes only
+  std::atomic<std::size_t> completed_{0};
+  std::vector<std::thread> threads_;  // after everything the workers use
+
+  std::size_t dispatched_ = 0;  ///< admitted into a queue
+  std::size_t cross_dispatched_ = 0;
+  FleetController fleet_;
+  CostSplit measured_;  ///< the workers' summed split at the last barrier
+  bool pressured_ = false;  ///< a queue-pressure window is open
+  RecoveryLog log_;
+  std::vector<Request> fault_tail_;  ///< admitted since the snapshots
+  double tokens_ = kAdmitBurst;
+  std::uint64_t bucket_clock_ = 0;  ///< last intended-arrival refill instant
+};
+
+FrontendRun::FrontendRun(ShardedNetwork& net, const FrontendOptions& opt)
+    : net_(net),
+      opt_(opt),
+      degrade_(opt.queue_policy != QueuePolicy::kBlock),
+      fleet_(opt.rebalance, net),
+      log_(opt.faults) {
+  const int s0 = net.num_shards();
+  const bool lifecycle =
+      opt.rebalance != nullptr && opt.rebalance->lifecycle_enabled();
+  const auto slots = static_cast<std::size_t>(
+      lifecycle ? std::max(s0, opt.rebalance->max_shards) : s0);
+  inboxes_.resize(slots);
+  workers_.assign(slots, WorkerState(opt.schedule));
+  route_.assign(slots, 0);
+  owned_.assign(slots, -1);
+  breakers_ = std::vector<Breaker>(slots);
+  threads_.resize(slots);
+}
+
+// ---- worker side -----------------------------------------------------------
+
+// The worker step: admits one batch from the slot's inbox, resolves the
+// slot's shard, orders the batch, and serves each item. Returns false once
+// the inbox is closed and drained.
+bool FrontendRun::step(std::size_t w) {
+  WorkerState& ws = workers_[w];
+  ws.batch.clear();
+  if (inboxes_[w]->pop_batch(ws.batch, kAdmissionBatch) == 0) return false;
+  // The route table, the shard vector and the map change only at quiesce
+  // barriers, so they are stable for the whole batch. Reading them only
+  // after a pop keeps every read between an inbox pop (which follows the
+  // barrier's mutation through the inbox mutex) and this worker's own
+  // `completed` release (which the next barrier acquires).
+  const int me = owned_[w];
+  KArySplayNet& shard = net_.shard(me);
+  const ShardMap& map = net_.map();
+  // Resolves an item into this shard's local ids for the scheduler: items
+  // for other shards (forwards) key as foreign ops, handovers and first
+  // legs as root ascents.
+  auto resolve = [&](const QueueItem& item) -> ScheduleEndpoints {
+    if (map.shard_of(item.src) != me) return {kNoNode, kNoNode};
+    const NodeId u = map.local_of(item.src);
+    if (item.is_handover() || map.shard_of(item.dst) != me)
+      return {u, kNoNode};
+    return {u, map.local_of(item.dst)};
+  };
+  auto serve = [&](const QueueItem& item) {
+    const int home = map.shard_of(item.src);
+    if (home != me) {
+      // Lost a race with a migration: forward to the node's new shard (a
+      // handover leg prices in the extra top-tree hop).
+      QueueItem fwd = item;
+      if (item.is_handover()) fwd.pending_top += net_.top_distance(me, home);
+      ++ws.forwards;
+      hand_over(ws, home, fwd);
+      return;
+    }
+    int b = me;  // a handover's second leg ends here
+    if (!item.is_handover()) {
+      // Deadline shed at dequeue, before any tree mutation: a request
+      // that expired while queued never touches state.
+      if (item.deadline_ns != 0 && now_ns() > item.deadline_ns) {
+        ++ws.sim.deadline_expired;
+        finish(ws.shed, item);
+        return;
+      }
+      ws.queue_wait.record(now_ns() - item.arrival_ns);
+      b = map.shard_of(item.dst);
+    }
+    const bool intra = !item.is_handover() && b == me;
+    const ServeResult sr = serve_shard_op(
+        shard, net_.replica_mut(me),
+        {map.local_of(item.src), intra ? map.local_of(item.dst) : kNoNode},
+        ws.sim.replica_reads);
+    ws.sim.charge(sr);
+    if (intra) {
+      ws.split.intra_cost += sr.total_cost();
+      ++ws.split.intra_requests;
+      finish(ws.sojourn, item);
+    } else if (item.is_handover()) {
+      // Second leg of a cross-shard request: v ascended; charge the
+      // accumulated top-tree legs and complete.
+      ws.sim.routing_cost += item.pending_top;
+      ws.split.cross_cost += sr.total_cost() + item.pending_top;
+      ++ws.split.cross_requests;
+      finish(ws.sojourn, item);
+    } else {
+      // First leg: u ascended to this shard's root; hand the request over
+      // to v's shard with the top-tree route priced in.
+      ws.split.cross_cost += sr.total_cost();
+      ++ws.handovers;
+      hand_over(ws, b, {.src = item.dst,
+                        .arrival_ns = item.arrival_ns,
+                        .pending_top = net_.top_distance(me, b)});
+    }
+  };
+  ws.scheduler.run(shard.tree(), std::span<QueueItem>(ws.batch), resolve,
+                   serve);
+  return true;
+}
+
+// Delivers a mailbox leg to `target`'s worker, or sheds it. kBlock:
+// unbounded push, always delivered. Degradation modes: the target's
+// breaker may shed outright (open or mid-recovery), a full mailbox is
+// retried with deterministic backoff, and exhaustion feeds the breaker.
+void FrontendRun::hand_over(WorkerState& ws, int target,
+                            const QueueItem& leg) {
+  ShardInbox& box = inbox_of(target);
+  if (!degrade_) {
+    box.push_mail(leg);
+    return;
+  }
+  Breaker& br = breakers_[static_cast<std::size_t>(target)];
+  const int state = br.state.load(std::memory_order_acquire);
+  if (state == kBreakerOpen) {
+    // Half-open: every 16th leg probes the mailbox; one success closes the
+    // breaker again.
+    if (++ws.probe_clock % 16 == 0 && box.push_mail(leg)) {
+      br.state.store(kBreakerClosed, std::memory_order_release);
+      br.failures.store(0, std::memory_order_relaxed);
+      return;
+    }
+  } else if (state == kBreakerClosed) {
+    for (int attempt = 0;; ++attempt) {
+      if (box.push_mail(leg)) {
+        br.failures.store(0, std::memory_order_relaxed);
+        return;
+      }
+      if (attempt >= kHandoverRetries) break;
+      // Exponential base plus seeded jitter, microseconds-scale so retry
+      // exhaustion resolves well under any realistic deadline.
+      const std::uint64_t base = 2'000ull << attempt;
+      std::this_thread::sleep_for(std::chrono::nanoseconds(
+          base + splitmix64(ws.rng) % (base / 2 + 1)));
+    }
+    if (br.failures.fetch_add(1, std::memory_order_relaxed) + 1 >=
+        kBreakerThreshold) {
+      int expect = kBreakerClosed;
+      if (br.state.compare_exchange_strong(expect, kBreakerOpen))
+        ++ws.sim.breaker_trips;
+    }
+  }
+  ++ws.sim.cross_shed;
+  finish(ws.shed, leg);
+}
+
+// ---- fleet -----------------------------------------------------------------
+
+// Starts a worker thread on slot `w`, with a fresh backoff stream.
+void FrontendRun::start_worker(std::size_t w) {
+  workers_[w].rng = kBackoffSeed ^ (0x9E3779B97F4A7C15ull * (w + 1));
+  threads_[w] = std::thread([this, w] {
+    while (step(w)) {
+    }
+  });
+}
+
+// Closes every inbox; each worker drains what it holds, then exits.
+void FrontendRun::stop_workers() {
+  for (auto& inbox : inboxes_)
+    if (inbox != nullptr) inbox->close();
+  for (std::thread& t : threads_)
+    if (t.joinable()) t.join();
+}
+
+// Every shard gets a worker of its own on the first free slot: at run
+// start, and for the new shard of a split. A free slot always exists: the
+// slots cover max(S0, max_shards) and the planner never splits a fleet at
+// max_shards.
+void FrontendRun::spawn_worker(int shard_id) {
+  std::size_t w = 0;
+  while (owned_[w] != -1 || threads_[w].joinable()) ++w;
+  if (inboxes_[w] == nullptr)
+    inboxes_[w] = std::make_unique<ShardInbox>(
+        opt_.queue_capacity,
+        degrade_ ? kMailboxPerQueue * opt_.queue_capacity : 0);
+  else
+    inboxes_[w]->reopen();  // reclaimed after an earlier merge retired it
+  owned_[w] = shard_id;
+  route_[static_cast<std::size_t>(shard_id)] = w;
+  start_worker(w);
+}
+
+// A merge retires the vacated shard's worker, then renumbers: every shard
+// id above it shifted down by one.
+void FrontendRun::retire_shard(int shard_id) {
+  const std::size_t w = route_[static_cast<std::size_t>(shard_id)];
+  inboxes_[w]->close();
+  threads_[w].join();
+  owned_[w] = -1;
+  for (std::size_t v = 0; v < owned_.size(); ++v) {
+    int& o = owned_[v];
+    if (o > shard_id) --o;
+    if (o >= 0) route_[static_cast<std::size_t>(o)] = v;
+  }
+}
+
+// The quiesce barrier: every dispatched request (handovers included) has
+// completed or been shed, so the fleet is at rest; pressure windows end.
+void FrontendRun::quiesce() {
+  while (completed_.load(std::memory_order_acquire) < dispatched_)
+    std::this_thread::yield();
+  if (!pressured_) return;
+  for (auto& inbox : inboxes_)
+    if (inbox != nullptr) inbox->set_capacity(opt_.queue_capacity);
+  pressured_ = false;
+}
+
+void FrontendRun::set_breaker(int shard, int state) {
+  Breaker& br = breakers_[static_cast<std::size_t>(shard)];
+  br.state.store(state, std::memory_order_release);
+  br.failures.store(0, std::memory_order_relaxed);
+}
+
+// The epoch barrier: drain the pipeline, then plan and apply through the
+// fleet controller, and reshape the workers to match. The dispatcher keeps
+// the arrival clock running, so this pause is charged to every request
+// that arrives during it. Breakers reset: the fleet just proved it can
+// drain (and merge renumbering would stale per-shard state anyway).
+void FrontendRun::epoch_barrier() {
+  quiesce();
+  if (degrade_)
+    for (std::size_t s = 0; s < breakers_.size(); ++s)
+      set_breaker(static_cast<int>(s), kBreakerClosed);
+  CostSplit served;
+  for (const WorkerState& ws : workers_) served += ws.split;
+  const FleetDelta delta = fleet_.barrier(net_, served - measured_, res_.sim);
+  measured_ = served;
+  if (delta.spawned_shard >= 0) spawn_worker(delta.spawned_shard);
+  if (delta.retired_shard >= 0) retire_shard(delta.retired_shard);
+  if (delta.changed) ++res_.route_epochs;
+  // The barrier may have rewritten the map or fleet: re-anchor the crash
+  // tail so a later replay never spans it.
+  resume_point();
+}
+
+// ---- scripted fault injection (sim/fault.hpp) ------------------------------
+// While events are pending the dispatcher keeps the tail of requests
+// admitted since the RecoveryLog's snapshots; resume points are run start,
+// post-recovery and post-epoch-barrier instants, so the tail never spans a
+// map change. A shard kill quiesces the pipeline, then recovers through the
+// log with a FIFO replay of the tail in dispatch order: at S = 1 under FIFO
+// admission that is bit-identical to the lost state; at S > 1 it is
+// dispatch-order-consistent (the racy mailbox interleaving that produced
+// the lost state was never recorded).
+void FrontendRun::resume_point() {
+  log_.snapshot(net_);
+  fault_tail_.clear();
+}
+
+void FrontendRun::fire_due(std::size_t offered) {
+  while (log_.next_due(offered) != nullptr) {
+    const FaultEvent ev = log_.take(net_);
+    const std::size_t w = route_[static_cast<std::size_t>(ev.shard)];
+    switch (ev.kind) {
+      case FaultKind::kShardKill:
+        // Open the recovery breaker first so in-flight cross legs shed
+        // instead of serving into the doomed shard (degradation modes;
+        // kBlock stays lossless and drains them).
+        if (degrade_) set_breaker(ev.shard, kBreakerRecovery);
+        quiesce();
+        log_.recover(net_, ev.shard, fault_tail_, ScheduleConfig{}, res_.sim);
+        if (degrade_) set_breaker(ev.shard, kBreakerClosed);
+        resume_point();
+        break;
+      case FaultKind::kWorkerKill: {
+        // The thread dies, the shard's data survives: retire the worker at
+        // the quiesce barrier and respawn a fresh one on the same slot
+        // (same inbox, same accumulated counters).
+        quiesce();
+        const Clock::time_point t0 = Clock::now();
+        ++res_.sim.worker_kills;
+        inboxes_[w]->close();
+        threads_[w].join();
+        inboxes_[w]->reopen();
+        start_worker(w);
+        book_recovery_time(res_.sim, t0);
+        resume_point();
+        break;
+      }
+      case FaultKind::kQueuePressure:
+        // No barrier: the shard's inbox bound collapses mid-flight and the
+        // admission policy has to cope until the next barrier restores it.
+        // The crash tail keeps accumulating (no tree or map change to
+        // re-anchor against).
+        pressured_ = true;
+        inboxes_[w]->set_capacity(
+            std::max<std::size_t>(1, opt_.queue_capacity / 8));
+        ++res_.sim.queue_pressure_events;
+        break;
+    }
+  }
+}
+
+// ---- admission control -----------------------------------------------------
+
+// Admits one offered request through the token bucket, the admission
+// deadline and the queue policy. Returns whether it was dispatched; a
+// refused request is shed here, by the dispatcher itself.
+bool FrontendRun::admit(const Request& r, std::uint64_t due) {
+  // Token bucket, refilled from the intended-arrival clock: the admit/shed
+  // pattern is a deterministic function of the schedule, not of wall-clock
+  // jitter.
+  if (opt_.admit_rate > 0.0) {
+    tokens_ = std::min(kAdmitBurst,
+                       tokens_ + static_cast<double>(due - bucket_clock_) *
+                                     1e-9 * opt_.admit_rate);
+    bucket_clock_ = due;
+    if (tokens_ < 1.0) {
+      ++res_.sim.shed_throttled;
+      shed_admission(due);
+      return false;
+    }
+    tokens_ -= 1.0;
+  }
+  QueueItem item{.src = r.src, .dst = r.dst, .arrival_ns = due};
+  // deadline_ms is 0 unless the policy is kDeadline (validated).
+  const auto budget_ns = static_cast<std::uint64_t>(opt_.deadline_ms * 1e6);
+  if (budget_ns != 0) {
+    item.deadline_ns = due + budget_ns;
+    if (now_ns() > item.deadline_ns) {  // dead on arrival (backpressure)
+      ++res_.sim.deadline_expired;
+      shed_admission(due);
+      return false;
+    }
+  }
+  const int a = net_.map().shard_of(r.src);
+  const bool wait = opt_.queue_policy != QueuePolicy::kShed;
+  if (!inbox_of(a).push(item, wait)) {
+    ++res_.sim.queue_full_blocks;
+    if (!wait) {
+      ++res_.sim.shed_queue_full;
+      shed_admission(due);
+      return false;
+    }
+  }
+  if (net_.map().shard_of(r.dst) != a) ++cross_dispatched_;
+  ++dispatched_;
+  if (log_.pending()) fault_tail_.push_back(r);
+  return true;
+}
+
+// ---- the run ---------------------------------------------------------------
+
+FrontendResult FrontendRun::serve(RequestStream& stream,
+                                  ArrivalSchedule& schedule) {
+  start_ = Clock::now();
+  for (int s = 0; s < net_.num_shards(); ++s) spawn_worker(s);
+  resume_point();
+
+  const std::size_t total = stream.size();
+  std::size_t offered = 0;  // pulled from the schedule (admitted + shed)
+  std::uint64_t last_arrival_ns = 0;
+  std::vector<Request> chunk(std::min(total, kStreamChunkRequests));
+  while (const std::size_t got = stream.fill(chunk)) {
+    for (std::size_t i = 0; i < got; ++i) {
+      fire_due(offered);
+      // Pace to the arrival schedule: sleep for coarse gaps, spin out the
+      // last stretch (sleep_until wakes late by scheduler quanta, which
+      // would throttle multi-million-req/s schedules).
+      const std::uint64_t due = schedule.next();
+      last_arrival_ns = due;
+      if (due > 0) {
+        constexpr std::uint64_t kSpinWindowNs = 50'000;
+        const std::uint64_t now = now_ns();
+        if (due > now + kSpinWindowNs)
+          std::this_thread::sleep_for(
+              std::chrono::nanoseconds(due - now - kSpinWindowNs));
+        while (now_ns() < due) {
+          // busy-wait: the dispatcher is the clock of the experiment
+        }
+      }
+      ++offered;
+      const Request& r = chunk[i];
+      if (!admit(r, due) || !fleet_.active()) continue;
+      fleet_.observe(r, net_.map());
+      if (dispatched_ % fleet_.epoch_requests() == 0 && dispatched_ < total)
+        epoch_barrier();
+    }
+  }
+  fire_due(offered);  // events due once the last request is in
+
+  res_.sim.requests = offered;
+  if (offered > 0 && last_arrival_ns > 0)
+    res_.offered_rate = static_cast<double>(offered) /
+                        (static_cast<double>(last_arrival_ns) / 1e9);
+
+  quiesce();
+  res_.elapsed_seconds = static_cast<double>(now_ns()) / 1e9;
+  stop_workers();
+
+  // ---- aggregation ---------------------------------------------------------
+  for (const WorkerState& ws : workers_) {
+    res_.sim += ws.sim;
+    res_.sim.reordered_requests += ws.scheduler.reordered();
+    res_.handovers += ws.handovers;
+    res_.forwards += ws.forwards;
+    res_.sojourn.merge(ws.sojourn);
+    res_.queue_wait.merge(ws.queue_wait);
+    res_.shed.merge(ws.shed);
+  }
+  res_.sim.shed_requests = res_.sim.shed_queue_full +
+                           res_.sim.shed_throttled +
+                           res_.sim.deadline_expired + res_.sim.cross_shed;
+  res_.sim.schedule = opt_.schedule.policy;
+  res_.sim.final_shards = net_.num_shards();
+  res_.sim.cross_shard = static_cast<Cost>(cross_dispatched_);
+  net_.note_cross_served(static_cast<Cost>(cross_dispatched_));
+  res_.achieved_rate =
+      res_.elapsed_seconds > 0.0
+          ? static_cast<double>(res_.sojourn.count()) / res_.elapsed_seconds
+          : 0.0;
+  // Dispatch-time intra fraction: the fraction of admitted requests that
+  // were intra-shard under the map they were routed by. The Trace& adapter
+  // upgrades this to a final-map re-scan when the map changed.
+  res_.sim.post_intra_fraction =
+      dispatched_ == 0 ? 0.0
+                       : 1.0 - static_cast<double>(cross_dispatched_) /
+                                   static_cast<double>(dispatched_);
+  return std::move(res_);
+}
 
 }  // namespace
 
@@ -203,26 +723,16 @@ const char* queue_policy_name(QueuePolicy policy) {
 
 ServeFrontend::ServeFrontend(ShardedNetwork& net, FrontendOptions opt)
     : net_(net), opt_(opt) {
-  if (opt_.admission_batch < 1)
-    throw TreeError("ServeFrontend: admission_batch must be >= 1");
   if (opt_.queue_capacity < 1)
     throw TreeError("ServeFrontend: queue_capacity must be >= 1");
   opt_.schedule.validate();
-  if (opt_.schedule.reorders() && opt_.admission_batch < 2)
-    throw TreeError(
-        "ServeFrontend: locality schedule needs admission_batch >= 2 "
-        "(a 1-item batch can never reorder)");
   if (opt_.queue_policy == QueuePolicy::kDeadline && opt_.deadline_ms <= 0.0)
     throw TreeError("ServeFrontend: kDeadline needs deadline_ms > 0");
   if (opt_.queue_policy != QueuePolicy::kDeadline && opt_.deadline_ms != 0.0)
     throw TreeError(
         "ServeFrontend: deadline_ms requires the kDeadline queue policy");
-  if (opt_.admit_rate < 0.0 || opt_.admit_burst < 0.0)
-    throw TreeError("ServeFrontend: admit_rate/admit_burst must be >= 0");
-  if (opt_.handover_retries < 0)
-    throw TreeError("ServeFrontend: handover_retries must be >= 0");
-  if (opt_.breaker_threshold < 1)
-    throw TreeError("ServeFrontend: breaker_threshold must be >= 1");
+  if (opt_.admit_rate < 0.0)
+    throw TreeError("ServeFrontend: admit_rate must be >= 0");
   if (opt_.faults != nullptr) opt_.faults->validate();
 }
 
@@ -239,503 +749,7 @@ FrontendResult ServeFrontend::run(const Trace& trace,
 
 FrontendResult ServeFrontend::run_stream(RequestStream& stream,
                                          ArrivalSchedule& schedule) {
-  const int S0 = net_.num_shards();
-  const std::size_t total = stream.size();
-  const bool lifecycle =
-      opt_.rebalance != nullptr && opt_.rebalance->lifecycle_enabled();
-  // Worker slots are preallocated to the lifecycle ceiling so the fleet
-  // can grow without reallocating any array a live worker reads: splits
-  // claim a fresh (or previously retired) slot, merges retire one.
-  const int max_workers =
-      lifecycle ? std::max(S0, opt_.rebalance->max_shards) : S0;
-  const bool degrade = opt_.queue_policy != QueuePolicy::kBlock;
-  const std::size_t mail_cap =
-      degrade ? (opt_.mailbox_capacity != 0 ? opt_.mailbox_capacity
-                                            : 4 * opt_.queue_capacity)
-              : 0;  // kBlock keeps the lossless unbounded mailbox
-
-  FrontendResult res;
-
-  const auto n_slots = static_cast<std::size_t>(max_workers);
-  std::vector<std::unique_ptr<ShardInbox>> inboxes(n_slots);  // mutexes
-                                                              // don't move
-  std::vector<WorkerState> workers(n_slots);
-  std::vector<std::thread> threads(n_slots);
-  // The shard-route table: shard id -> worker slot (`route`) and its
-  // inverse (`owned`, -1 = slot free/retired). Mutated by the dispatcher
-  // only at quiesce barriers — the pipeline is empty, every worker is
-  // parked in pop_batch — and published through the inbox mutexes (any
-  // item a worker pops was pushed after the mutation). `route_epoch` is
-  // the version counter: workers re-resolve their shard id and tree
-  // pointer when it moves (splits/merges reallocate the shard vector, so
-  // a cached reference can dangle across a barrier).
-  std::vector<int> route(n_slots, -1);
-  std::vector<int> owned(n_slots, -1);
-  std::atomic<std::uint64_t> route_epoch{0};
-  // Per-shard circuit breakers (degradation modes only; see file comment).
-  std::vector<std::atomic<int>> breaker_state(n_slots);
-  std::vector<std::atomic<int>> breaker_failures(n_slots);
-  std::atomic<std::size_t> completed{0};
-
-  const Clock::time_point start = Clock::now();
-  auto now_ns = [&start] {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                             start)
-            .count());
-  };
-
-  // ---- dynamic worker fleet -------------------------------------------
-  auto worker_loop = [&](int w) {
-    WorkerState& ws = workers[static_cast<std::size_t>(w)];
-    ShardInbox& inbox = *inboxes[static_cast<std::size_t>(w)];
-    // Resolved lazily at the first popped batch (sentinel epoch): an idle
-    // worker that reads the route table or the shard vector at startup
-    // has no happens-before edge to a later barrier's split/merge realloc
-    // — it completed nothing, so the quiesce never observed it. Every
-    // read below is sandwiched between an inbox pop and this worker's
-    // own `completed` release, which the barrier acquires.
-    int my_shard = -1;
-    KArySplayNet* shard = nullptr;
-    std::uint64_t seen_epoch = ~std::uint64_t{0};
-    std::uint64_t rng =
-        kBackoffSeed ^
-        (0x9E3779B97F4A7C15ull * (static_cast<std::uint64_t>(w) + 1));
-    // Deterministic backoff between handover retries: exponential base
-    // plus seeded jitter, microseconds-scale so retry exhaustion resolves
-    // well under any realistic deadline.
-    auto backoff = [&](int attempt) {
-      const std::uint64_t base = 2'000ull << std::min(attempt, 10);
-      std::this_thread::sleep_for(
-          std::chrono::nanoseconds(base + splitmix64(rng) % (base / 2 + 1)));
-    };
-    // Shed bookkeeping for an item this worker drops (deadline at
-    // dequeue, breaker, retry exhaustion): record its age and dispose of
-    // it so the quiesce accounting sees every admitted request exactly
-    // once.
-    auto shed_item = [&](const QueueItem& item) {
-      ws.shed.record(now_ns() - item.arrival_ns);
-      completed.fetch_add(1, std::memory_order_release);
-    };
-    // Delivers a mailbox leg to `target`'s worker. kBlock: unbounded push,
-    // always succeeds. Degradation modes: the target's breaker may shed
-    // outright (open or mid-recovery), a full mailbox is retried with
-    // deterministic backoff, and exhaustion feeds the breaker. Returns
-    // false when the leg was shed (caller completes it via shed_item).
-    auto deliver = [&](int target, const QueueItem& leg) -> bool {
-      ShardInbox& box = *inboxes[static_cast<std::size_t>(route[
-          static_cast<std::size_t>(target)])];
-      if (!degrade) {
-        box.push_mail(leg);
-        return true;
-      }
-      std::atomic<int>& st = breaker_state[static_cast<std::size_t>(target)];
-      std::atomic<int>& failures =
-          breaker_failures[static_cast<std::size_t>(target)];
-      const int state = st.load(std::memory_order_acquire);
-      if (state == kBreakerRecovery) return false;
-      if (state == kBreakerOpen) {
-        // Half-open: every 16th leg probes the mailbox; one success
-        // closes the breaker again.
-        if (++ws.probe_clock % 16 != 0) return false;
-        if (box.push_mail(leg)) {
-          st.store(kBreakerClosed, std::memory_order_release);
-          failures.store(0, std::memory_order_relaxed);
-          return true;
-        }
-        return false;
-      }
-      for (int attempt = 0;; ++attempt) {
-        if (box.push_mail(leg)) {
-          failures.store(0, std::memory_order_relaxed);
-          return true;
-        }
-        if (attempt >= opt_.handover_retries) break;
-        backoff(attempt);
-      }
-      if (failures.fetch_add(1, std::memory_order_relaxed) + 1 >=
-          opt_.breaker_threshold) {
-        int expect = kBreakerClosed;
-        if (st.compare_exchange_strong(expect, kBreakerOpen))
-          ++ws.sim.breaker_trips;
-      }
-      return false;
-    };
-    std::vector<QueueItem> batch;
-    batch.reserve(static_cast<std::size_t>(opt_.admission_batch));
-    auto complete = [&](const QueueItem& item) {
-      ws.sojourn.record(now_ns() - item.arrival_ns);
-      completed.fetch_add(1, std::memory_order_release);
-    };
-    auto process_item = [&](const QueueItem& item) {
-      const ShardMap& map = net_.map();
-      const int home = map.shard_of(item.src);
-      if (home != my_shard) {
-        // Lost a race with a migration: forward to the node's new shard (a
-        // handover leg prices in the extra top-tree hop).
-        QueueItem fwd = item;
-        if (item.is_handover())
-          fwd.pending_top += net_.top_distance(my_shard, home);
-        ++ws.forwards;
-        if (!deliver(home, fwd)) {
-          ++ws.sim.cross_shed;
-          shed_item(fwd);
-        }
-        return;
-      }
-      int b = my_shard;  // a handover's second leg ends here
-      if (!item.is_handover()) {
-        // Deadline shed at dequeue, before any tree mutation: a request
-        // that expired while queued never touches state.
-        if (item.deadline_ns != 0 && now_ns() > item.deadline_ns) {
-          ++ws.sim.deadline_expired;
-          shed_item(item);
-          return;
-        }
-        ws.queue_wait.record(now_ns() - item.arrival_ns);
-        b = map.shard_of(item.dst);
-      }
-      const bool intra = !item.is_handover() && b == my_shard;
-      const ServeResult sr = serve_shard_op(
-          *shard, net_.replica_mut(my_shard),
-          {map.local_of(item.src), intra ? map.local_of(item.dst) : kNoNode},
-          ws.sim.replica_reads);
-      ws.sim.charge(sr);
-      if (intra) {
-        ws.split.intra_cost += sr.total_cost();
-        ++ws.split.intra_requests;
-        complete(item);
-      } else if (item.is_handover()) {
-        // Second leg of a cross-shard request: v ascended; charge the
-        // accumulated top-tree legs and complete.
-        ws.sim.routing_cost += item.pending_top;
-        ws.split.cross_cost += sr.total_cost() + item.pending_top;
-        ++ws.split.cross_requests;
-        complete(item);
-      } else {
-        // First leg: u ascended to this shard's root; hand the request
-        // over to v's shard with the top-tree route priced in.
-        ws.split.cross_cost += sr.total_cost();
-        ++ws.handovers;
-        QueueItem leg;
-        leg.src = item.dst;
-        leg.arrival_ns = item.arrival_ns;
-        leg.pending_top = net_.top_distance(my_shard, b);
-        if (!deliver(b, leg)) {
-          ++ws.sim.cross_shed;
-          shed_item(leg);
-        }
-      }
-    };
-    // Resolves a queued item into this worker's shard-local id space for
-    // the locality scheduler. Items for other shards (forwards) and
-    // handovers/first legs key as root ascents or foreign ops; fleet and
-    // map changes only land at quiesce barriers, so the map is stable per
-    // batch.
-    auto resolve = [&](const QueueItem& item) -> ScheduleEndpoints {
-      const ShardMap& map = net_.map();
-      if (map.shard_of(item.src) != my_shard) return {kNoNode, kNoNode};
-      const NodeId u = map.local_of(item.src);
-      if (item.is_handover() || map.shard_of(item.dst) != my_shard)
-        return {u, kNoNode};  // root ascent (second or first leg)
-      return {u, map.local_of(item.dst)};
-    };
-    LocalityScheduler scheduler(opt_.schedule);
-    for (;;) {
-      batch.clear();
-      if (inbox.pop_batch(batch,
-                          static_cast<std::size_t>(opt_.admission_batch)) ==
-          0) {
-        // Closed and drained. += so counters survive worker-kill respawns
-        // on this slot.
-        ws.sim.reordered_requests += scheduler.reordered();
-        return;
-      }
-      const std::uint64_t e = route_epoch.load(std::memory_order_acquire);
-      if (e != seen_epoch) {  // fleet changed shape at a barrier
-        seen_epoch = e;
-        my_shard = owned[static_cast<std::size_t>(w)];
-        shard = &net_.shard(my_shard);
-      }
-      scheduler.run(shard->tree(), std::span<QueueItem>(batch), resolve,
-                    process_item);
-    }
-  };
-
-  // Every shard gets a worker of its own on the first free slot: at run
-  // start, and for the new shard of a split. A free slot always exists:
-  // the slots cover max(S0, max_shards) and the planner never splits a
-  // fleet at max_shards.
-  auto spawn_worker = [&](int shard_id) {
-    int w = 0;
-    while (owned[static_cast<std::size_t>(w)] != -1 ||
-           threads[static_cast<std::size_t>(w)].joinable())
-      ++w;
-    auto& slot = inboxes[static_cast<std::size_t>(w)];
-    if (slot == nullptr)
-      slot = std::make_unique<ShardInbox>(opt_.queue_capacity, mail_cap);
-    else
-      slot->reopen();  // reclaimed after an earlier merge retired it
-    owned[static_cast<std::size_t>(w)] = shard_id;
-    route[static_cast<std::size_t>(shard_id)] = w;
-    threads[static_cast<std::size_t>(w)] = std::thread(worker_loop, w);
-  };
-  // A merge retires the vacated shard's worker, then renumbers: every
-  // shard id above it shifted down by one.
-  auto retire_shard = [&](int shard_id) {
-    const int w = route[static_cast<std::size_t>(shard_id)];
-    inboxes[static_cast<std::size_t>(w)]->close();
-    threads[static_cast<std::size_t>(w)].join();
-    owned[static_cast<std::size_t>(w)] = -1;
-    for (int v = 0; v < max_workers; ++v) {
-      int& o = owned[static_cast<std::size_t>(v)];
-      if (o > shard_id) --o;
-      if (o >= 0) route[static_cast<std::size_t>(o)] = v;
-    }
-  };
-
-  for (int s = 0; s < S0; ++s) spawn_worker(s);
-
-  // ---- open-loop dispatcher (caller thread) ---------------------------
-  FleetController fleet(opt_.rebalance, net_);
-  CostSplit measured;  // the workers' summed split at the last barrier
-
-  // Queue-pressure windows: (worker slot, original capacity) pairs,
-  // restored at the next quiesce barrier.
-  std::vector<std::pair<int, std::size_t>> pressured;
-  // The quiesce barrier: every dispatched request (handovers included) has
-  // completed or been shed, so the fleet is at rest; pressure windows end.
-  auto quiesce = [&](std::size_t dispatched) {
-    while (completed.load(std::memory_order_acquire) < dispatched)
-      std::this_thread::yield();
-    for (const auto& [w, cap] : pressured)
-      inboxes[static_cast<std::size_t>(w)]->set_capacity(cap);
-    pressured.clear();
-  };
-  auto set_breaker = [&](int shard, int state) {
-    breaker_state[static_cast<std::size_t>(shard)].store(
-        state, std::memory_order_release);
-    breaker_failures[static_cast<std::size_t>(shard)].store(
-        0, std::memory_order_relaxed);
-  };
-
-  // ---- scripted fault injection (sim/fault.hpp) -----------------------
-  // While events are pending the dispatcher keeps the tail of requests
-  // admitted since the RecoveryLog's snapshots; resume points are run
-  // start, post-recovery and post-epoch-barrier instants, so the tail
-  // never spans a map change. A shard kill quiesces the pipeline, then
-  // recovers through the log with a FIFO replay of the tail in dispatch
-  // order: at S = 1 under FIFO admission that is bit-identical to the lost
-  // state; at S > 1 it is dispatch-order-consistent (the racy mailbox
-  // interleaving that produced the lost state was never recorded).
-  RecoveryLog log(opt_.faults);
-  std::vector<Request> fault_tail;  // admitted since the snapshots
-  auto resume_point = [&] {
-    log.snapshot(net_);
-    fault_tail.clear();
-  };
-  auto fire_due = [&](std::size_t offered, std::size_t disp) {
-    while (log.next_due(offered) != nullptr) {
-      const FaultEvent ev = log.take(net_);
-      const int w = route[static_cast<std::size_t>(ev.shard)];
-      switch (ev.kind) {
-        case FaultKind::kShardKill:
-          // Open the recovery breaker first so in-flight cross legs shed
-          // instead of serving into the doomed shard (degradation modes;
-          // kBlock stays lossless and drains them).
-          if (degrade) set_breaker(ev.shard, kBreakerRecovery);
-          quiesce(disp);
-          log.recover(net_, ev.shard, fault_tail, ScheduleConfig{}, res.sim);
-          if (degrade) set_breaker(ev.shard, kBreakerClosed);
-          resume_point();
-          break;
-        case FaultKind::kWorkerKill: {
-          // The thread dies, the shard's data survives: retire the worker
-          // at the quiesce barrier and respawn a fresh one on the same
-          // slot (same inbox, same accumulated counters).
-          quiesce(disp);
-          const Clock::time_point t0 = Clock::now();
-          ++res.sim.worker_kills;
-          inboxes[static_cast<std::size_t>(w)]->close();
-          threads[static_cast<std::size_t>(w)].join();
-          inboxes[static_cast<std::size_t>(w)]->reopen();
-          threads[static_cast<std::size_t>(w)] = std::thread(worker_loop, w);
-          book_recovery_time(res.sim, t0);
-          resume_point();
-          break;
-        }
-        case FaultKind::kQueuePressure:
-          // No barrier: the shard's inbox bound collapses mid-flight and
-          // the admission policy has to cope until the next barrier
-          // restores it. The crash tail keeps accumulating (no tree or map
-          // change to re-anchor against).
-          pressured.emplace_back(
-              w, inboxes[static_cast<std::size_t>(w)]->capacity());
-          inboxes[static_cast<std::size_t>(w)]->set_capacity(
-              std::max<std::size_t>(1, opt_.queue_capacity / 8));
-          ++res.sim.queue_pressure_events;
-          break;
-      }
-    }
-  };
-  resume_point();
-
-  // ---- admission control ----------------------------------------------
-  const bool throttled = opt_.admit_rate > 0.0;
-  const double burst_cap = opt_.admit_burst > 0.0 ? opt_.admit_burst : 64.0;
-  double tokens = burst_cap;
-  std::uint64_t bucket_clock = 0;  // last intended-arrival refill instant
-  const std::uint64_t deadline_budget_ns =
-      opt_.queue_policy == QueuePolicy::kDeadline
-          ? static_cast<std::uint64_t>(opt_.deadline_ms * 1e6)
-          : 0;
-  // Admission-time sheds are recorded by the dispatcher itself.
-  auto shed_admission = [&](std::uint64_t arrival_ns) {
-    res.shed.record(now_ns() - arrival_ns);
-  };
-
-  std::size_t offered = 0;     // pulled from the schedule (admitted + shed)
-  std::size_t dispatched = 0;  // admitted into a queue
-  std::size_t cross_dispatched = 0;
-  std::uint64_t last_arrival_ns = 0;
-  std::vector<Request> chunk(std::min(total, kStreamChunkRequests));
-  while (true) {
-    const std::size_t got = stream.fill(chunk);
-    if (got == 0) break;
-    for (std::size_t i = 0; i < got; ++i) {
-      fire_due(offered, dispatched);
-      // Pace to the arrival schedule: sleep for coarse gaps, spin out the
-      // last stretch (sleep_until wakes late by scheduler quanta, which
-      // would throttle multi-million-req/s schedules).
-      const std::uint64_t due = schedule.next();
-      last_arrival_ns = due;
-      if (due > 0) {
-        constexpr std::uint64_t kSpinWindowNs = 50'000;
-        std::uint64_t now = now_ns();
-        if (due > now + kSpinWindowNs)
-          std::this_thread::sleep_for(
-              std::chrono::nanoseconds(due - now - kSpinWindowNs));
-        while (now_ns() < due) {
-          // busy-wait: the dispatcher is the clock of the experiment
-        }
-      }
-      ++offered;
-      // Token bucket, refilled from the intended-arrival clock: the
-      // admit/shed pattern is a deterministic function of the schedule,
-      // not of wall-clock jitter.
-      if (throttled) {
-        tokens = std::min(burst_cap,
-                          tokens + static_cast<double>(due - bucket_clock) *
-                                       1e-9 * opt_.admit_rate);
-        bucket_clock = due;
-        if (tokens < 1.0) {
-          ++res.sim.shed_throttled;
-          shed_admission(due);
-          continue;
-        }
-        tokens -= 1.0;
-      }
-      std::uint64_t deadline_ns = 0;
-      if (deadline_budget_ns != 0) {
-        deadline_ns = due + deadline_budget_ns;
-        if (now_ns() > deadline_ns) {  // dead on arrival (backpressure)
-          ++res.sim.deadline_expired;
-          shed_admission(due);
-          continue;
-        }
-      }
-      const Request& r = chunk[i];
-      const int a = net_.map().shard_of(r.src);
-      QueueItem item;
-      item.src = r.src;
-      item.dst = r.dst;
-      item.arrival_ns = due;
-      item.deadline_ns = deadline_ns;
-      ShardInbox& box = *inboxes[static_cast<std::size_t>(
-          route[static_cast<std::size_t>(a)])];
-      if (opt_.queue_policy == QueuePolicy::kShed) {
-        if (!box.try_push_main(item)) {
-          ++res.sim.queue_full_blocks;
-          ++res.sim.shed_queue_full;
-          shed_admission(due);
-          continue;
-        }
-      } else {
-        if (box.push_main(item)) ++res.sim.queue_full_blocks;
-      }
-      if (net_.map().shard_of(r.dst) != a) ++cross_dispatched;
-      ++dispatched;
-      if (log.pending()) fault_tail.push_back(r);
-      if (!fleet.active()) continue;
-      fleet.observe(r, net_.map());
-      if (dispatched % fleet.epoch_requests() != 0 || dispatched >= total)
-        continue;
-      // The epoch barrier: drain the pipeline, then plan and apply through
-      // the fleet controller, and reshape the workers to match. The
-      // dispatcher keeps the arrival clock running, so this pause is
-      // charged to every request that arrives during it. Breakers reset:
-      // the fleet just proved it can drain (and merge renumbering would
-      // stale per-shard state anyway).
-      quiesce(dispatched);
-      if (degrade)
-        for (int s = 0; s < max_workers; ++s) set_breaker(s, kBreakerClosed);
-      CostSplit served;
-      for (const WorkerState& ws : workers) served += ws.split;
-      const FleetDelta delta = fleet.barrier(net_, served - measured, res.sim);
-      measured = served;
-      if (delta.spawned_shard >= 0) spawn_worker(delta.spawned_shard);
-      if (delta.retired_shard >= 0) retire_shard(delta.retired_shard);
-      if (delta.changed) {
-        route_epoch.fetch_add(1, std::memory_order_release);
-        ++res.route_epochs;
-      }
-      // The barrier may have rewritten the map or fleet: re-anchor the
-      // crash tail so a later replay never spans it.
-      resume_point();
-    }
-  }
-  fire_due(offered, dispatched);  // events due once the last request is in
-
-  res.sim.requests = offered;
-  if (offered > 0 && last_arrival_ns > 0)
-    res.offered_rate = static_cast<double>(offered) /
-                       (static_cast<double>(last_arrival_ns) / 1e9);
-
-  quiesce(dispatched);
-  res.elapsed_seconds = static_cast<double>(now_ns()) / 1e9;
-  for (auto& inbox : inboxes)
-    if (inbox != nullptr) inbox->close();
-  for (std::thread& t : threads)
-    if (t.joinable()) t.join();
-
-  // ---- aggregation ----------------------------------------------------
-  for (const WorkerState& ws : workers) {
-    res.sim += ws.sim;
-    res.handovers += ws.handovers;
-    res.forwards += ws.forwards;
-    res.sojourn.merge(ws.sojourn);
-    res.queue_wait.merge(ws.queue_wait);
-    res.shed.merge(ws.shed);
-  }
-  res.sim.shed_requests = res.sim.shed_queue_full + res.sim.shed_throttled +
-                          res.sim.deadline_expired + res.sim.cross_shed;
-  res.sim.schedule = opt_.schedule.policy;
-  res.sim.final_shards = net_.num_shards();
-  res.sim.cross_shard = static_cast<Cost>(cross_dispatched);
-  net_.note_cross_served(static_cast<Cost>(cross_dispatched));
-  res.route_epochs = route_epoch.load(std::memory_order_relaxed);
-  res.achieved_rate =
-      res.elapsed_seconds > 0.0
-          ? static_cast<double>(res.sojourn.count()) / res.elapsed_seconds
-          : 0.0;
-  // Dispatch-time intra fraction: the fraction of admitted requests that
-  // were intra-shard under the map they were routed by. The Trace&
-  // adapter upgrades this to a final-map re-scan when the map changed.
-  res.sim.post_intra_fraction =
-      dispatched == 0 ? 0.0
-                      : 1.0 - static_cast<double>(cross_dispatched) /
-                                  static_cast<double>(dispatched);
-  return res;
+  return FrontendRun(net_, opt_).serve(stream, schedule);
 }
 
 }  // namespace san

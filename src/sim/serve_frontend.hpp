@@ -10,7 +10,7 @@
 //   caller thread (dispatcher)            worker threads, one per shard
 //   ─────────────────────────             ──────────────────────────────
 //   wait until arrival[i]                 drain inbox (mailbox first,
-//   admission control: token              then main queue, ≤ B per
+//   admission control: token              then main queue, ≤ 64 per
 //     bucket, deadline, queue             wakeup = batched admission)
 //     policy (block/shed)                 re-resolve shard through the
 //   route r_i via the shard-route         route table per batch
@@ -21,12 +21,11 @@
 //     reshape the worker fleet            cross 2nd leg: shard.access(v)
 //                                           + top-tree legs, complete
 //
-// Dynamic worker lifecycle: workers are no longer pinned to a shard at
-// construction. A shard-route table (shard id -> worker slot, versioned
-// by an epoch counter bumped at every fleet change) is consulted per
-// admitted batch and per handover, so the whole PR 9 lifecycle machinery
-// runs mid-flight under live traffic: watermark splits spawn a fresh
-// worker for the new shard, merges retire and join the vacated worker,
+// Dynamic worker lifecycle: workers are not pinned to a shard at
+// construction. A shard-route table (shard id -> worker slot) is
+// consulted per admitted batch and per handover, so the whole shard
+// lifecycle runs mid-flight under live traffic: watermark splits spawn a
+// fresh worker for the new shard, merges retire and join the vacated worker,
 // replica promotion and snapshot-restore recovery rebuild a killed
 // shard — all at the existing quiesce barrier (completed == dispatched),
 // where no request is in flight and the route can change shape safely.
@@ -35,8 +34,8 @@
 // both drivers plan, reshape and recover the fleet the same way, and only
 // maps the returned FleetDelta onto its workers and route table.
 // Route/fleet mutations are published to workers through the inbox
-// mutexes (every item a worker pops was pushed after the mutation) with
-// the epoch counter as the cheap per-batch re-resolution trigger.
+// mutexes (every item a worker pops was pushed after the mutation); each
+// worker re-reads its shard from the table once per admitted batch.
 //
 // Cost accounting is identical to the batched pipeline (and hence to
 // per-request ShardedNetwork::serve): intra requests are exact Section 2
@@ -57,7 +56,7 @@
 // (arrival + deadline_ms): dead requests are shed at admission and again
 // at dequeue — a request that expired while queued is dropped before it
 // can touch a tree, so deadline-expired requests never mutate state. An
-// optional token bucket (admit_rate/admit_burst, refilled from the
+// optional token bucket (admit_rate, 64 tokens deep, refilled from the
 // *intended* arrival clock, so its admit/shed pattern is a deterministic
 // function of the schedule) throttles admission upstream of the queues.
 // Every drop lands in SimResult's shed counters and the shed-age
@@ -65,12 +64,13 @@
 // engine.
 //
 // Cross-shard resilience (kShed/kDeadline only; kBlock keeps the
-// lossless unbounded-mailbox semantics): handover mailboxes are bounded,
-// a full push is retried a bounded number of times with deterministic
-// seeded backoff, and each shard has a circuit breaker — tripped by
-// retry exhaustion (half-opens on a probe cadence) or forced open by the
-// dispatcher while the shard is mid-recovery — that sheds cross-shard
-// legs instead of stalling the sender behind a struggling shard.
+// lossless unbounded-mailbox semantics): handover mailboxes are bounded
+// at 4 x queue_capacity, a full push is retried up to 3 times with
+// deterministic seeded backoff, and each shard has a circuit breaker —
+// tripped by 8 consecutive retry exhaustions (half-opens on a probe
+// cadence) or forced open by the dispatcher while the shard is
+// mid-recovery — that sheds cross-shard legs instead of stalling the
+// sender behind a struggling shard.
 //
 // Latency: each request carries its intended arrival timestamp; sojourn
 // (queue wait + service, including both legs and every mailbox hop of a
@@ -105,12 +105,11 @@ enum class QueuePolicy : std::uint8_t {
 const char* queue_policy_name(QueuePolicy policy);
 
 struct FrontendOptions {
-  /// Max requests a worker admits per wakeup (the B of batched admission).
-  int admission_batch = 64;
   /// Bound of each shard's main request queue. What happens when it fills
   /// is queue_policy's call; under kBlock the dispatcher blocks while the
   /// target queue is full (arrival timestamps keep counting, so the
-  /// backpressure is charged to latency, not hidden).
+  /// backpressure is charged to latency, not hidden). Under kShed and
+  /// kDeadline each handover mailbox is bounded at 4 x this.
   std::size_t queue_capacity = 1024;
   /// Full-queue / deadline semantics (see QueuePolicy). kBlock is
   /// lossless; kShed and kDeadline are the degradation modes that also
@@ -119,28 +118,12 @@ struct FrontendOptions {
   /// kDeadline: per-request budget in milliseconds from intended arrival.
   /// Must be > 0 under kDeadline and 0 otherwise (validated).
   double deadline_ms = 0.0;
-  /// > 0 arms the token-bucket admission throttle at this many requests/s.
-  /// The bucket refills from the intended-arrival clock, so which requests
-  /// it sheds is a deterministic function of the arrival schedule (under a
-  /// saturation schedule the clock never advances: only the initial burst
-  /// is admitted). Works under every queue policy.
+  /// > 0 arms the token-bucket admission throttle (64 tokens deep) at this
+  /// many requests/s. The bucket refills from the intended-arrival clock,
+  /// so which requests it sheds is a deterministic function of the arrival
+  /// schedule (under a saturation schedule the clock never advances: only
+  /// the initial 64 are admitted). Works under every queue policy.
   double admit_rate = 0.0;
-  /// Token-bucket depth; 0 picks the default (64 tokens).
-  double admit_burst = 0.0;
-  /// Handover mailbox bound under kShed/kDeadline; 0 picks the default
-  /// (4 x queue_capacity). Under kBlock mailboxes stay unbounded: handover
-  /// traffic is already bounded by the main queues, and a bounded
-  /// worker-to-worker push could deadlock a cycle of full shards — the
-  /// degradation modes break that cycle by shedding after bounded retries
-  /// instead.
-  std::size_t mailbox_capacity = 0;
-  /// Bounded retries of a full handover push before the leg is shed
-  /// (kShed/kDeadline only).
-  int handover_retries = 3;
-  /// Consecutive handover-retry exhaustions against one shard that trip
-  /// its circuit breaker (which then sheds cross legs outright and
-  /// half-opens on a probe cadence). Must be >= 1.
-  int breaker_threshold = 8;
   /// Non-null + enabled() turns on online rebalancing epochs (see file
   /// comment); lifecycle knobs (split/merge watermarks, planned replicas)
   /// are honored mid-flight: splits spawn workers, merges retire them,

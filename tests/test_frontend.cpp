@@ -21,9 +21,9 @@ std::vector<std::uint64_t> saturation(std::size_t m) {
 
 // Acceptance: open-loop at saturation reproduces batch-replay total cost
 // on a stationary workload with S = 1 and FIFO admission — bit-identical,
-// for every workload family and batch size tried, with and without a
-// replica answering the reads. The single inbox preserves trace order, so
-// the serve sequence is the same.
+// for every workload family tried, with and without a replica answering
+// the reads. The single inbox preserves trace order, so the serve
+// sequence is the same.
 TEST(Frontend, SingleShardSaturationMatchesBatchReplay) {
   const int n = 64;
   const std::size_t m = 3000;
@@ -36,23 +36,20 @@ TEST(Frontend, SingleShardSaturationMatchesBatchReplay) {
       const SimResult batch =
           run_trace_sharded(batch_net, trace, {.sequential = true});
       EXPECT_EQ(batch.replica_reads, replicated ? static_cast<Cost>(m) : 0);
-      for (int admission : {1, 64}) {
-        ShardedNetwork live_net = ShardedNetwork::balanced(3, n, 1);
-        if (replicated) live_net.add_replica(0);
-        ServeFrontend fe(live_net, {.admission_batch = admission});
-        const FrontendResult live = fe.run(trace, saturation(m));
-        const std::string what = std::string(workload_name(kind)) +
-                                 " B=" + std::to_string(admission) +
-                                 (replicated ? " replicated" : "");
-        EXPECT_EQ(live.sim.routing_cost, batch.routing_cost) << what;
-        EXPECT_EQ(live.sim.rotation_count, batch.rotation_count) << what;
-        EXPECT_EQ(live.sim.edge_changes, batch.edge_changes) << what;
-        EXPECT_EQ(live.sim.total_cost(), batch.total_cost()) << what;
-        EXPECT_EQ(live.sim.replica_reads, batch.replica_reads) << what;
-        EXPECT_EQ(live.sim.requests, m) << what;
-        EXPECT_EQ(live.sim.cross_shard, 0) << what;
-        EXPECT_EQ(live.handovers, 0u) << what;
-      }
+      ShardedNetwork live_net = ShardedNetwork::balanced(3, n, 1);
+      if (replicated) live_net.add_replica(0);
+      ServeFrontend fe(live_net);
+      const FrontendResult live = fe.run(trace, saturation(m));
+      const std::string what = std::string(workload_name(kind)) +
+                               (replicated ? " replicated" : "");
+      EXPECT_EQ(live.sim.routing_cost, batch.routing_cost) << what;
+      EXPECT_EQ(live.sim.rotation_count, batch.rotation_count) << what;
+      EXPECT_EQ(live.sim.edge_changes, batch.edge_changes) << what;
+      EXPECT_EQ(live.sim.total_cost(), batch.total_cost()) << what;
+      EXPECT_EQ(live.sim.replica_reads, batch.replica_reads) << what;
+      EXPECT_EQ(live.sim.requests, m) << what;
+      EXPECT_EQ(live.sim.cross_shard, 0) << what;
+      EXPECT_EQ(live.handovers, 0u) << what;
     }
   }
 }
@@ -90,7 +87,7 @@ TEST(Frontend, MultiShardServesEverythingOnce) {
   for (int S : {2, 4}) {
     ShardedNetwork net = ShardedNetwork::balanced(3, n, S);
     const ShardLocalityStats stats = compute_shard_stats(trace, net.map());
-    ServeFrontend fe(net, {.admission_batch = 32, .queue_capacity = 256});
+    ServeFrontend fe(net, {.queue_capacity = 256});
     const FrontendResult r = fe.run(trace, saturation(m));
     EXPECT_EQ(r.sojourn.count(), m) << "S=" << S;
     EXPECT_EQ(r.queue_wait.count(), m) << "S=" << S;
@@ -163,7 +160,6 @@ TEST(Frontend, RebalancesOnlineUnderDrift) {
 
 TEST(Frontend, RejectsBadArguments) {
   ShardedNetwork net = ShardedNetwork::balanced(2, 16, 2);
-  EXPECT_THROW(ServeFrontend(net, {.admission_batch = 0}), TreeError);
   EXPECT_THROW(ServeFrontend(net, {.queue_capacity = 0}), TreeError);
   ServeFrontend fe(net);
   const Trace trace = gen_uniform(16, 100, 1);

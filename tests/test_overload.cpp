@@ -7,6 +7,7 @@
 // fault scripts that the frontend survives.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -53,25 +54,25 @@ TEST(Overload, ShedFreeRunBitMatchesBatchReplay) {
 
 // The token bucket refills from the *intended-arrival* clock. Under a
 // saturation schedule that clock never advances, so exactly the initial
-// burst is admitted — a fully deterministic admit/shed pattern,
-// reproducible run over run.
+// burst (the bucket's 64 tokens) is admitted — a fully deterministic
+// admit/shed pattern, reproducible run over run.
 TEST(Overload, TokenBucketIsDeterministicGivenTheSchedule) {
   const int n = 48;
   const std::size_t m = 4000;
   const Trace trace = gen_workload(WorkloadKind::kUniform, n, m, 5);
+  const std::size_t burst = 64;
   SimResult runs[2];
   for (int i = 0; i < 2; ++i) {
     ShardedNetwork net = ShardedNetwork::balanced(2, n, 1);
     FrontendOptions opt;
     opt.admit_rate = 1e6;
-    opt.admit_burst = 100.0;
     ServeFrontend fe(net, opt);
     const FrontendResult res = fe.run(trace, saturation(m));
     runs[i] = res.sim;
-    EXPECT_EQ(res.sojourn.count(), 100u) << "run " << i;
-    EXPECT_EQ(res.shed.count(), m - 100) << "run " << i;
+    EXPECT_EQ(res.sojourn.count(), burst) << "run " << i;
+    EXPECT_EQ(res.shed.count(), m - burst) << "run " << i;
   }
-  EXPECT_EQ(runs[0].shed_throttled, static_cast<Cost>(m - 100));
+  EXPECT_EQ(runs[0].shed_throttled, static_cast<Cost>(m - burst));
   EXPECT_EQ(runs[0].shed_requests, runs[1].shed_requests);
   EXPECT_EQ(runs[0].shed_throttled, runs[1].shed_throttled);
   EXPECT_EQ(runs[0].routing_cost, runs[1].routing_cost);
@@ -110,9 +111,10 @@ TEST(Overload, DeadlineExpiredRequestsNeverTouchTheTrees) {
 }
 
 // Degradation conservation: under genuine overload (tiny queues, tiny
-// mailboxes, aggressive breaker, saturation arrivals) every offered
-// request is either served or accounted shed — nothing lost, nothing
-// double-counted — and the shards stay structurally valid.
+// mailboxes, saturation arrivals) every offered request is either served
+// or accounted shed — nothing lost, nothing double-counted — and the
+// shards stay structurally valid. A main queue of 2 bounds each mailbox
+// at 8 (4 x queue_capacity).
 TEST(Overload, ShedUnderOverloadConservesEveryRequest) {
   const int n = 96;
   const std::size_t m = 20000;
@@ -120,12 +122,15 @@ TEST(Overload, ShedUnderOverloadConservesEveryRequest) {
   ShardedNetwork net = ShardedNetwork::balanced(2, n, 4);
   FrontendOptions opt;
   opt.queue_policy = QueuePolicy::kShed;
-  opt.queue_capacity = 16;
-  opt.mailbox_capacity = 8;
-  opt.handover_retries = 1;
-  opt.breaker_threshold = 2;
+  opt.queue_capacity = 2;
   ServeFrontend fe(net, opt);
   const FrontendResult res = fe.run(trace, saturation(m));
+  // Reported, not asserted: whether legs are shed or breakers trip depends
+  // on thread scheduling.
+  std::printf("cross_shed=%lld breaker_trips=%lld shed_queue_full=%lld\n",
+              static_cast<long long>(res.sim.cross_shed),
+              static_cast<long long>(res.sim.breaker_trips),
+              static_cast<long long>(res.sim.shed_queue_full));
 
   EXPECT_EQ(res.sim.requests, m);
   EXPECT_EQ(res.sojourn.count() + static_cast<std::size_t>(
@@ -153,7 +158,6 @@ TEST(Overload, BlockModeCountsFullQueueStalls) {
   ShardedNetwork net = ShardedNetwork::balanced(2, n, 1);
   FrontendOptions opt;
   opt.queue_capacity = 1;
-  opt.admission_batch = 1;
   ServeFrontend fe(net, opt);
   const FrontendResult res = fe.run(trace, saturation(m));
   EXPECT_EQ(res.sojourn.count(), m);  // still lossless
@@ -203,16 +207,6 @@ TEST(Overload, RejectsBadOverloadOptions) {
   {
     FrontendOptions opt;
     opt.admit_rate = -1.0;
-    EXPECT_THROW(ServeFrontend(net, opt), TreeError);
-  }
-  {
-    FrontendOptions opt;
-    opt.handover_retries = -1;
-    EXPECT_THROW(ServeFrontend(net, opt), TreeError);
-  }
-  {
-    FrontendOptions opt;
-    opt.breaker_threshold = 0;
     EXPECT_THROW(ServeFrontend(net, opt), TreeError);
   }
 }

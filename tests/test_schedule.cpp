@@ -424,15 +424,11 @@ TEST(ScheduleFuzz, LocalityKeepsTreesValidateClean) {
 
 // ------------------------------------------------------------ frontend
 
-TEST(ScheduleFrontend, RejectsLocalityWithSingleItemBatches) {
+TEST(ScheduleFrontend, ValidatesScheduleAtConstruction) {
   ShardedNetwork net = ShardedNetwork::balanced(2, 32, 1);
-  EXPECT_THROW(
-      ServeFrontend(net, {.admission_batch = 1, .schedule = locality()}),
-      TreeError);
-  EXPECT_NO_THROW(
-      ServeFrontend(net, {.admission_batch = 2, .schedule = locality()}));
+  EXPECT_NO_THROW(ServeFrontend(net, {.schedule = locality()}));
+  EXPECT_THROW(ServeFrontend(net, {.schedule = locality(0)}), TreeError);
   // The pre-existing rejections stay intact.
-  EXPECT_THROW(ServeFrontend(net, {.admission_batch = 0}), TreeError);
   EXPECT_THROW(ServeFrontend(net, {.queue_capacity = 0}), TreeError);
 }
 
@@ -443,7 +439,7 @@ TEST(ScheduleFrontend, LocalityServesEverythingAndKeepsShardsValid) {
   const std::vector<std::uint64_t> arrivals(m, 0);  // saturation
   for (int S : {1, 3}) {
     ShardedNetwork net = ShardedNetwork::balanced(2, n, S);
-    ServeFrontend fe(net, {.admission_batch = 64, .schedule = locality(64)});
+    ServeFrontend fe(net, {.schedule = locality(64)});
     const FrontendResult r = fe.run(t, arrivals);
     EXPECT_EQ(r.sim.requests, m) << "S=" << S;
     EXPECT_EQ(r.sim.schedule, SchedulePolicy::kLocality);

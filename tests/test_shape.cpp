@@ -4,6 +4,9 @@
 #include <random>
 
 #include "core/shape.hpp"
+#include "core/splaynet.hpp"
+#include "sim/sharded_network.hpp"
+#include "static_trees/full_tree.hpp"
 
 namespace san {
 namespace {
@@ -130,6 +133,17 @@ TEST(Shape, BuilderRejectsEdgeIdWithFullFanOut) {
     s.recompute_sizes();
     EXPECT_THROW(build_from_shape(3, s), TreeError) << pos;
     EXPECT_NO_THROW(build_from_shape(4, s));
+  }
+}
+
+// Arity below 2 is rejected before the complete-shape height search,
+// which never terminates for k = 0, so every balanced builder throws.
+TEST(Shape, BuildersRejectArityBelowTwo) {
+  for (int k : {-1, 0, 1}) {
+    EXPECT_THROW(make_complete_shape(32, k), TreeError) << k;
+    EXPECT_THROW(KArySplayNet::balanced(k, 32), TreeError) << k;
+    EXPECT_THROW(full_kary_tree(k, 32), TreeError) << k;
+    EXPECT_THROW(ShardedNetwork::balanced(k, 32, 2), TreeError) << k;
   }
 }
 
